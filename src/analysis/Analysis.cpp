@@ -40,11 +40,6 @@ void Analysis::processEvent(const Event &E) {
   ++EventIdx;
 }
 
-void Analysis::processEventAt(const Event &E, uint64_t GlobalIdx) {
-  EventIdx = GlobalIdx;
-  processEvent(E);
-}
-
 void Analysis::processBatch(const Event *Events, size_t N) {
   for (size_t I = 0; I != N; ++I)
     processEvent(Events[I]);
@@ -76,13 +71,6 @@ void Analysis::reportRace(const Event &E, Epoch Prior) {
   }
   R.Prior = Prior;
   R.AnalysisName = name();
-  Accounting.onRace(R);
-  Stored.onRace(R);
-  if (Sink)
-    Sink->onRace(R);
-}
-
-void Analysis::forwardReport(const RaceReport &R) {
   Accounting.onRace(R);
   Stored.onRace(R);
   if (Sink)

@@ -28,9 +28,6 @@
 
 namespace st {
 
-class ShardableAnalysis;
-struct ShardRunStats;
-
 /// Frequencies of the FTO/SmartTrack access-handling cases, reported by the
 /// epoch-optimized analyses (paper Appendix B, Table 12).
 struct CaseStats {
@@ -68,18 +65,9 @@ public:
   /// exactly one virtual call (the on* handler).
   void processEvent(const Event &E);
 
-  /// Feeds one event carrying an explicit stream position: the running
-  /// event index is set to \p GlobalIdx before dispatch, so race reports
-  /// and rule-(b) bookkeeping see \p GlobalIdx as the current index. The
-  /// sharded executor routes each shard a subsequence of the stream and
-  /// uses this to keep every shard's indices in the shared global space.
-  void processEventAt(const Event &E, uint64_t GlobalIdx);
-
   /// Feeds a contiguous batch of events in trace order; the chunked entry
-  /// point the streaming engine drives. Virtual so composite analyses
-  /// (the sharded executor) can take over whole batches; the per-event
-  /// processEvent stays non-virtual.
-  virtual void processBatch(const Event *Events, size_t N);
+  /// point the streaming engine drives.
+  void processBatch(const Event *Events, size_t N);
 
   /// Feeds an entire trace.
   void processTrace(const Trace &Tr);
@@ -130,15 +118,6 @@ public:
 
   uint64_t eventsProcessed() const { return EventIdx; }
 
-  /// The sharded-execution hooks when this analysis supports variable
-  /// sharding (analysis/Shardable.h); null for every other analysis.
-  virtual ShardableAnalysis *shardHooks() { return nullptr; }
-
-  /// Executor counters when this analysis runs variable-sharded
-  /// (analysis/Shardable.h ShardRunStats); null for plain analyses.
-  /// Mirrors caseStats(): call between batches or after the run.
-  virtual const ShardRunStats *shardRunStats() const { return nullptr; }
-
 protected:
   /// Called before dispatching each event; analyses that keep per-event
   /// bookkeeping (e.g. graph recording) override this.
@@ -158,18 +137,8 @@ protected:
   /// RaceReport and pushes it through the sinks.
   void reportRace(const Event &E, Epoch Prior);
 
-  /// Pushes an already-built report through this analysis's accounting,
-  /// bounded store, and attached sink, exactly as reportRace does for a
-  /// fresh one. Composite analyses merge their inner instances' reports
-  /// through this so the outer accounting matches a sequential run.
-  void forwardReport(const RaceReport &R);
-
   /// Index of the event currently being processed.
   uint64_t currentEventIndex() const { return EventIdx; }
-
-  /// Advances the running event index by \p N events this analysis
-  /// consumed outside processEvent (a composite's batch override).
-  void advanceEventIndex(uint64_t N) { EventIdx += N; }
 
 private:
   uint64_t EventIdx = 0;

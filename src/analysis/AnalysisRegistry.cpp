@@ -92,20 +92,6 @@ bool st::buildsGraph(AnalysisKind K) {
   return K == AnalysisKind::UnoptDCwG || K == AnalysisKind::UnoptWDCwG;
 }
 
-bool st::isShardable(AnalysisKind K) {
-  switch (K) {
-  case AnalysisKind::FTOWCP:
-  case AnalysisKind::FTODC:
-  case AnalysisKind::FTOWDC:
-  case AnalysisKind::STWCP:
-  case AnalysisKind::STDC:
-  case AnalysisKind::STWDC:
-    return true;
-  default:
-    return false;
-  }
-}
-
 std::unique_ptr<Analysis> st::createAnalysis(AnalysisKind K,
                                              EdgeRecorder *Graph) {
   assert((!buildsGraph(K) || Graph) && "w/G analysis needs an EdgeRecorder");

@@ -58,11 +58,6 @@ bool findAnalysisKind(const char *Name, AnalysisKind &Out);
 /// True for the configurations that record a constraint graph.
 bool buildsGraph(AnalysisKind K);
 
-/// True for the configurations that can run under the variable-sharded
-/// executor (analysis/sharded/ShardedAnalysis.h): the FTO and ST policy
-/// cores, which implement the ShardableAnalysis hooks.
-bool isShardable(AnalysisKind K);
-
 /// Creates an analysis instance. For graph-building kinds, \p Graph
 /// receives the recorded edges and must outlive the analysis; it may be
 /// null for non-graph kinds.

@@ -36,7 +36,6 @@
 #include "analysis/Analysis.h"
 #include "analysis/ClockSets.h"
 #include "analysis/RuleBLog.h"
-#include "analysis/Shardable.h"
 
 #include <type_traits>
 
@@ -104,24 +103,9 @@ using PClocksOf =
 /// Held (HeldLockSet), VolWriteClock/VolReadClock (ClockMap), and Stats
 /// (CaseStats), and befriend their base.
 template <typename Policy, typename DerivedT>
-class PolicyCoreBase : public Analysis, public ShardableAnalysis {
+class PolicyCoreBase : public Analysis {
 public:
   const CaseStats *caseStats() const override { return &self().Stats; }
-
-  /// The policy cores are the shardable tier: their access handlers
-  /// mutate per-variable metadata plus at most the accessing thread's
-  /// predictive clock, which is exactly what these hooks expose.
-  ShardableAnalysis *shardHooks() override { return this; }
-
-  const VectorClock &shardClock(ThreadId T) override {
-    DerivedT &S = self();
-    return predictiveOf(T, S.Threads.of(T));
-  }
-
-  void shardSetClock(ThreadId T, const VectorClock &V) override {
-    DerivedT &S = self();
-    predictiveOf(T, S.Threads.of(T)) = V;
-  }
 
 protected:
   DerivedT &self() { return *static_cast<DerivedT *>(this); }

@@ -143,12 +143,9 @@ void runWorker(const LoadgenOptions &Opts, const ServeAddress &Addr,
       static_cast<uint64_t>(Opts.DurationSeconds * 1e9);
   ExpArrivals Arrivals(arrivalSeed(Opts.Seed, Worker),
                        meanArrivalGapNs(Opts));
-  std::string Hello = encodeHello([&] {
-    HelloOptions H;
-    H.Analyses = Opts.Analyses;
-    H.Shards = Opts.Shards;
-    return H;
-  }());
+  HelloOptions H;
+  H.Analyses = Opts.Analyses;
+  const std::string Hello = encodeHello(H);
 
   uint64_t NextNs = Arrivals.nextGapNs();
   for (uint64_t Request = 0; NextNs <= DurationNs;

@@ -101,8 +101,6 @@ struct LoadgenOptions {
   std::string Workload = "avrora";
   /// HELLO analysis names (empty = server default).
   std::vector<std::string> Analyses;
-  /// HELLO shards per connection.
-  uint64_t Shards = 1;
   /// Mean events per request; per-request counts drawn from Dist.
   uint64_t EventsPerRequest = 2000;
   EventCountDist Dist = EventCountDist::Fixed;

@@ -6,7 +6,6 @@
 
 #include "report/Session.h"
 
-#include "analysis/sharded/ShardedAnalysis.h"
 #include "engine/EventSource.h"
 #include "lint/LintingEventSource.h"
 
@@ -47,18 +46,7 @@ DriverOptions driverOptions(const SessionOptions &Opts) {
 Session::Session(SessionOptions Opts)
     : Opts(Opts), Driver(driverOptions(Opts)) {}
 
-Analysis &Session::add(AnalysisKind K) {
-  // Shards > 1 swaps the sequential core for the variable-sharded
-  // executor where the kind supports it; results are identical, only
-  // the intra-analysis execution changes.
-  if (Opts.Shards > 1 && isShardable(K)) {
-    ShardedOptions SO;
-    SO.NumShards = Opts.Shards;
-    SO.PinWorkers = Opts.PinShards;
-    return add(std::make_unique<ShardedAnalysis>(K, SO));
-  }
-  return Driver.add(K);
-}
+Analysis &Session::add(AnalysisKind K) { return Driver.add(K); }
 
 Analysis &Session::add(std::unique_ptr<Analysis> A) {
   Analysis &Ref = Driver.add(std::move(A));
@@ -170,10 +158,6 @@ RunReport Session::run(EventSource &Src) {
     if (const CaseStats *Cs = A.caseStats()) {
       R.HasCaseStats = true;
       R.Cases = *Cs;
-    }
-    if (const ShardRunStats *Ss = A.shardRunStats()) {
-      R.HasShardStats = true;
-      R.ShardStats = *Ss;
     }
     R.Races = A.raceRecords();
     if (Opts.Vindicate) {

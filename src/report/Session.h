@@ -23,7 +23,6 @@
 #ifndef SMARTTRACK_REPORT_SESSION_H
 #define SMARTTRACK_REPORT_SESSION_H
 
-#include "analysis/Shardable.h"
 #include "engine/AnalysisDriver.h"
 #include "lint/Diagnostics.h"
 #include "report/RaceSink.h"
@@ -87,19 +86,6 @@ struct SessionOptions {
   /// layer's FrameSink). SIZE_MAX means unlimited; counting sinks are
   /// never affected.
   size_t MaxRaceLines = SIZE_MAX;
-  /// Variable-sharded execution: when > 1, each shardable analysis
-  /// (isShardable()) added by kind runs its per-variable work across
-  /// this many shard threads inside the single pass, with results —
-  /// race counts, case stats, report order — identical to a sequential
-  /// run (analysis/sharded/ShardedAnalysis.h). Non-shardable kinds are
-  /// unaffected; 1 means plain sequential cores. Orthogonal to
-  /// Parallel, which fans out across analyses.
-  unsigned Shards = 1;
-  /// Pin shard worker threads to distinct CPUs of the process's affinity
-  /// set (Linux; a no-op elsewhere). Only meaningful with Shards > 1;
-  /// shard 0 rides the calling thread and is never re-pinned. st-analyze
-  /// --pin-shards and the st-serve HELLO option set this.
-  bool PinShards = false;
   /// Engine quiet-point hook, forwarded to DriverOptions::OnBatchPublish:
   /// runs between batches when neither the decoder nor any engine worker
   /// is active.
@@ -125,10 +111,6 @@ struct AnalysisRunResult {
   std::vector<RaceReport> Races;
   /// Parallel to Races when SessionOptions::Vindicate; empty otherwise.
   std::vector<VindicationResult> Vindications;
-  /// Sharded-executor counters (analysis/Shardable.h) when this analysis
-  /// ran variable-sharded; HasShardStats false for plain analyses.
-  bool HasShardStats = false;
-  ShardRunStats ShardStats;
 };
 
 /// What the lint pass found over one run's input (empty/inert when

@@ -93,14 +93,15 @@ int FrameReader::next(Frame &F) {
 namespace {
 
 /// HELLO option tags (append-only; unknown tags are skipped on decode).
+/// Tags 2 and 7 are reserved and must never be reused: they carried the
+/// shard count and shard pinning of the removed variable-sharded executor,
+/// and older clients may still send them, so they fall to the skip path.
 enum HelloTag : uint64_t {
   TagAnalysis = 1, // value: registry name bytes (repeatable)
-  TagShards = 2,   // value: varint
   TagValidation = 3,
   TagMaxRaceLines = 4,
   TagBatchSize = 5,
   TagMaxDiags = 6,
-  TagPinShards = 7, // value: varint 0/1
 };
 
 void appendVarint(std::string &Out, uint64_t V) {
@@ -127,8 +128,6 @@ std::string st::encodeHello(const HelloOptions &O) {
     Out += Name;
   }
   HelloOptions Defaults;
-  if (O.Shards != Defaults.Shards)
-    appendVarintOption(Out, TagShards, O.Shards);
   if (O.Validation != Defaults.Validation)
     appendVarintOption(Out, TagValidation, O.Validation);
   if (O.MaxRaceLines != Defaults.MaxRaceLines)
@@ -137,8 +136,6 @@ std::string st::encodeHello(const HelloOptions &O) {
     appendVarintOption(Out, TagBatchSize, O.BatchSize);
   if (O.MaxDiags != Defaults.MaxDiags)
     appendVarintOption(Out, TagMaxDiags, O.MaxDiags);
-  if (O.PinShards != Defaults.PinShards)
-    appendVarintOption(Out, TagPinShards, O.PinShards);
   return Out;
 }
 
@@ -176,9 +173,6 @@ bool st::decodeHello(std::string_view Payload, HelloOptions &O,
     case TagAnalysis:
       O.Analyses.push_back(std::move(Value));
       break;
-    case TagShards:
-      Ok = VarintValue(O.Shards);
-      break;
     case TagValidation:
       Ok = VarintValue(O.Validation);
       break;
@@ -190,9 +184,6 @@ bool st::decodeHello(std::string_view Payload, HelloOptions &O,
       break;
     case TagMaxDiags:
       Ok = VarintValue(O.MaxDiags);
-      break;
-    case TagPinShards:
-      Ok = VarintValue(O.PinShards);
       break;
     default:
       // Unknown tag: skip. Same-version extensions add tags without
@@ -252,26 +243,6 @@ void jsonCaseStats(std::string &Out, const CaseStats &S) {
   Out += '}';
 }
 
-// Field order matches st-analyze's --report=json shard_stats object.
-void jsonShardStats(std::string &Out, const ShardRunStats &S) {
-  auto Field = [&](const char *K, uint64_t V, bool Comma = true) {
-    jsonKey(Out, K);
-    jsonUInt(Out, V);
-    if (Comma)
-      Out += ',';
-  };
-  Out += '{';
-  Field("shards", S.Shards);
-  Field("deltas_published", S.DeltasPublished);
-  Field("deltas_coalesced", S.DeltasCoalesced);
-  Field("deltas_adopted", S.DeltasAdopted);
-  Field("sync_replayed", S.SyncReplayed);
-  Field("sync_fast_forwarded", S.SyncFastForwarded);
-  Field("spin_wakeups", S.SpinWakeups);
-  Field("park_wakeups", S.ParkWakeups, false);
-  Out += '}';
-}
-
 } // namespace
 
 std::string st::encodeDiagLine(const LintDiagnostic &D) {
@@ -324,11 +295,6 @@ std::string st::encodeSummaryLine(const AnalysisRunResult &A,
     Out += ',';
     jsonKey(Out, "case_stats");
     jsonCaseStats(Out, A.Cases);
-  }
-  if (A.HasShardStats) {
-    Out += ',';
-    jsonKey(Out, "shard_stats");
-    jsonShardStats(Out, A.ShardStats);
   }
   Out += "}\n";
   return Out;

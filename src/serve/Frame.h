@@ -142,8 +142,6 @@ struct HelloOptions {
   uint64_t Version = ServeProtocolVersion;
   /// Registry names of the analyses to run (empty = server default).
   std::vector<std::string> Analyses;
-  /// Variable shards per shardable analysis (SessionOptions::Shards).
-  uint64_t Shards = 1;
   /// ValidationMode wire value (0 Off, 1 Warn, 2 Strict).
   uint64_t Validation = 0;
   /// Cap on streamed RACE frames per analysis (UINT64_MAX = unlimited).
@@ -153,9 +151,6 @@ struct HelloOptions {
   /// Cap on streamed DIAG frames (SessionOptions::MaxStoredDiagnostics;
   /// 0 = server default).
   uint64_t MaxDiags = 0;
-  /// Pin shard worker threads to distinct CPUs on the server
-  /// (SessionOptions::PinShards; 0/1). Only meaningful with Shards > 1.
-  uint64_t PinShards = 0;
 };
 
 /// Encodes \p O as a HELLO payload: magic, version varint, then one
@@ -180,7 +175,7 @@ std::string encodeDiagLine(const LintDiagnostic &D);
 
 /// {"type":"summary","analysis":...,"events":...,...}\n — matches
 /// st-analyze's NDJSON summary line, case_stats included whenever the
-/// analysis tracks them and shard_stats whenever it ran variable-sharded.
+/// analysis tracks them.
 std::string encodeSummaryLine(const AnalysisRunResult &A, uint64_t Events);
 
 /// {"type":"stream","events":...,...}\n — the final stream line. A

@@ -257,10 +257,6 @@ void Server::handleConnection(int Fd) {
     Result = O;
   };
 
-  // Extra shard threads this connection holds from the process-wide
-  // pool; returned below however the connection ends.
-  unsigned LeasedShardThreads = 0;
-
   [&] {
     // --- Handshake -----------------------------------------------------
     Frame F;
@@ -297,43 +293,16 @@ void Server::handleConnection(int Fd) {
         Kinds.push_back(K);
       }
     }
-    if (Hello.Shards == 0)
-      Hello.Shards = 1;
-    if (Hello.Shards > Opts.MaxShards)
-      return Finish(Outcome::Protocol, "bad-hello",
-                    "shards " + std::to_string(Hello.Shards) +
-                        " exceeds server cap " +
-                        std::to_string(Opts.MaxShards));
     if (Hello.Validation > 2)
       return Finish(Outcome::Protocol, "bad-hello",
                     "unknown validation mode " +
                         std::to_string(Hello.Validation));
-
-    // --- Shard-thread pool lease --------------------------------------
-    // A connection at shards=N needs N-1 extra threads (shard 0 rides
-    // this worker). With a budget configured, lease what the pool can
-    // cover and clamp the grant; the accepted HELLO below echoes it, so
-    // the client always knows the shards it actually got.
-    unsigned Granted = static_cast<unsigned>(Hello.Shards);
-    if (Opts.ShardThreadBudget && Granted > 1) {
-      std::lock_guard<std::mutex> Lk(M);
-      unsigned Avail = Opts.ShardThreadBudget - ShardThreadsLeased;
-      unsigned Want = Granted - 1;
-      LeasedShardThreads = std::min(Want, Avail);
-      ShardThreadsLeased += LeasedShardThreads;
-      if (LeasedShardThreads < Want)
-        ++Stats.ShardClamps;
-      Granted = LeasedShardThreads + 1;
-    }
 
     // --- Per-connection session ---------------------------------------
     SessionOptions SO = Opts.Session;
     SO.Parallel = false; // the worker pool is the parallelism
     SO.Vindicate = false;
     SO.MaxStoredRaces = 0; // races stream out as RACE frames
-    SO.Shards = Granted;
-    if (Hello.PinShards)
-      SO.PinShards = true;
     SO.Validation = static_cast<ValidationMode>(Hello.Validation);
     if (Hello.BatchSize)
       SO.BatchSize = static_cast<size_t>(Hello.BatchSize);
@@ -345,14 +314,12 @@ void Server::handleConnection(int Fd) {
     HelloOptions Accepted;
     for (AnalysisKind K : Kinds)
       Accepted.Analyses.push_back(analysisKindName(K));
-    Accepted.Shards = SO.Shards;
     Accepted.Validation = Hello.Validation;
     Accepted.MaxRaceLines = SO.MaxRaceLines == SIZE_MAX
                                 ? UINT64_MAX
                                 : static_cast<uint64_t>(SO.MaxRaceLines);
     Accepted.BatchSize = SO.BatchSize;
     Accepted.MaxDiags = SO.MaxStoredDiagnostics;
-    Accepted.PinShards = SO.PinShards ? 1 : 0;
     Writer.write(FrameType::Hello, encodeHello(Accepted));
 
     // Bind/refresh race-line symbols at the engine quiet point — the
@@ -431,7 +398,6 @@ void Server::handleConnection(int Fd) {
 
   {
     std::lock_guard<std::mutex> Lk(M);
-    ShardThreadsLeased -= LeasedShardThreads;
     switch (Result) {
     case Outcome::Completed:
       ++Stats.Completed;

@@ -12,12 +12,11 @@
 ///
 /// Concurrency model: one acceptor thread feeds a fixed pool of worker
 /// threads; each worker owns one connection at a time end-to-end, so a
-/// connection's Session, decode stack, and sinks are all single-threaded
-/// (the analyses themselves may still shard internally via
-/// SessionOptions::Shards). Backpressure is the pull pipeline itself: a
-/// worker reads frames off the socket only when the engine asks for the
-/// next batch, so a fast client cannot balloon server memory — the kernel
-/// socket buffer is the only queue.
+/// connection's Session, decode stack, and sinks are all single-threaded.
+/// Backpressure is the pull pipeline itself: a worker reads frames off the
+/// socket only when the engine asks for the next batch, so a fast client
+/// cannot balloon server memory — the kernel socket buffer is the only
+/// queue.
 ///
 /// Budgets and eviction: per-connection memory (analysis footprintBytes
 /// accounting) and wall-time budgets are checked at every engine read;
@@ -46,8 +45,8 @@
 namespace st {
 
 /// Server configuration. Session carries the per-connection defaults a
-/// client HELLO may override (shards, validation, batch size, race-line
-/// and diagnostic caps) within the limits here.
+/// client HELLO may override (validation, batch size, race-line and
+/// diagnostic caps) within the limits here.
 struct ServerOptions {
   /// Worker threads, i.e. connections analyzed concurrently; further
   /// accepted connections queue until a worker frees up.
@@ -65,18 +64,6 @@ struct ServerOptions {
   /// Per-connection Session defaults (Parallel is forced off — the
   /// worker pool is the cross-connection parallelism).
   SessionOptions Session;
-  /// Upper bound on HELLO-requested shards.
-  unsigned MaxShards = 8;
-  /// Process-wide budget of extra shard worker threads (a connection at
-  /// shards=N holds N-1 of them; shard 0 rides the connection's worker).
-  /// Concurrent connections lease from this one pool, so the host is
-  /// never oversubscribed no matter how many clients ask for the per-
-  /// connection maximum: a connection whose full request cannot be
-  /// leased is granted the shards the pool can cover (down to 1, i.e.
-  /// sequential) and the clamp is echoed in the accepted HELLO. 0 means
-  /// no pool — every connection gets what it asks for, bounded only by
-  /// MaxShards.
-  unsigned ShardThreadBudget = 0;
   /// Analyses run when the client HELLO names none.
   std::vector<AnalysisKind> DefaultKinds = {AnalysisKind::STWDC};
   /// Stop accepting after this many connections (0 = serve until
@@ -98,10 +85,6 @@ struct ServerStats {
   /// Handshake never completed: missing/malformed/incompatible HELLO or
   /// frame-layer garbage where HELLO was expected.
   uint64_t ProtocolErrors = 0;
-  /// Connections granted fewer shards than requested because the shard-
-  /// thread pool (ServerOptions::ShardThreadBudget) was depleted. Not an
-  /// outcome bucket — these connections still complete normally.
-  uint64_t ShardClamps = 0;
 
   uint64_t handled() const {
     return Completed + Evicted + Rejected + ProtocolErrors;
@@ -160,9 +143,6 @@ private:
   bool Stopping = false;
   bool Started = false;
   ServerStats Stats;
-  /// Extra shard threads currently leased from ShardThreadBudget,
-  /// guarded by M like the stats.
-  unsigned ShardThreadsLeased = 0;
 
   std::thread Acceptor;
   std::vector<std::thread> WorkerThreads;

@@ -224,7 +224,6 @@ TEST(HelloRoundTrip, DefaultsEncodeCompactlyAndRoundTrip) {
   ASSERT_TRUE(decodeHello(Payload, O, &Err)) << Err;
   EXPECT_EQ(O.Version, ServeProtocolVersion);
   EXPECT_TRUE(O.Analyses.empty());
-  EXPECT_EQ(O.Shards, 1u);
   EXPECT_EQ(O.Validation, 0u);
   EXPECT_EQ(O.MaxRaceLines, UINT64_MAX);
   EXPECT_EQ(O.BatchSize, 0u);
@@ -234,7 +233,6 @@ TEST(HelloRoundTrip, DefaultsEncodeCompactlyAndRoundTrip) {
 TEST(HelloRoundTrip, EveryOptionRoundTrips) {
   HelloOptions In;
   In.Analyses = {"ST-WDC", "FTO-HB", "FT2"};
-  In.Shards = 4;
   In.Validation = 2;
   In.MaxRaceLines = 12345;
   In.BatchSize = 1 << 10;
@@ -245,7 +243,6 @@ TEST(HelloRoundTrip, EveryOptionRoundTrips) {
   ASSERT_TRUE(decodeHello(encodeHello(In), Out, &Err)) << Err;
   EXPECT_EQ(Out.Version, In.Version);
   EXPECT_EQ(Out.Analyses, In.Analyses);
-  EXPECT_EQ(Out.Shards, In.Shards);
   EXPECT_EQ(Out.Validation, In.Validation);
   EXPECT_EQ(Out.MaxRaceLines, In.MaxRaceLines);
   EXPECT_EQ(Out.BatchSize, In.BatchSize);
@@ -259,21 +256,28 @@ void appendVarint(std::string &Out, uint64_t V) {
 
 TEST(HelloRoundTrip, UnknownTagsAreSkipped) {
   // Hand-build: magic, version, an unknown tag 99 with an opaque value,
-  // then a known Shards option. A same-version peer with extra tags must
-  // still interoperate.
+  // the two reserved tags an older client may still send, then a known
+  // BatchSize option. A same-version peer with extra tags must still
+  // interoperate.
   std::string Payload(ServeHelloMagic, sizeof(ServeHelloMagic));
   appendVarint(Payload, ServeProtocolVersion);
   appendVarint(Payload, 99);
   appendVarint(Payload, 5);
   Payload += "mystA";
-  appendVarint(Payload, 2); // TagShards
+  appendVarint(Payload, 2); // reserved: the removed shard count
+  appendVarint(Payload, 1);
+  appendVarint(Payload, 4);
+  appendVarint(Payload, 7); // reserved: the removed shard pinning flag
+  appendVarint(Payload, 1);
+  appendVarint(Payload, 1);
+  appendVarint(Payload, 5); // TagBatchSize
   appendVarint(Payload, 1);
   appendVarint(Payload, 6);
 
   HelloOptions O;
   std::string Err;
   ASSERT_TRUE(decodeHello(Payload, O, &Err)) << Err;
-  EXPECT_EQ(O.Shards, 6u);
+  EXPECT_EQ(O.BatchSize, 6u);
   EXPECT_TRUE(O.Analyses.empty());
 }
 
@@ -302,7 +306,7 @@ TEST(HelloRoundTrip, MalformedPayloadsAreRejected) {
   // A numeric option whose value is not a whole varint.
   std::string BadValue(ServeHelloMagic, sizeof(ServeHelloMagic));
   appendVarint(BadValue, ServeProtocolVersion);
-  appendVarint(BadValue, 2); // TagShards
+  appendVarint(BadValue, 5); // TagBatchSize
   appendVarint(BadValue, 1);
   BadValue += '\x80'; // unterminated varint
   EXPECT_FALSE(decodeHello(BadValue, O, &Err));
@@ -312,7 +316,7 @@ TEST(HelloRoundTrip, MalformedPayloadsAreRejected) {
   // valid prefix) or fails with a diagnostic — never crashes.
   HelloOptions Full;
   Full.Analyses = {"ST-WDC"};
-  Full.Shards = 3;
+  Full.BatchSize = 3;
   Full.MaxDiags = 9;
   std::string Whole = encodeHello(Full);
   for (size_t Cut = 0; Cut != Whole.size(); ++Cut) {

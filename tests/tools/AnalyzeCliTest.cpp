@@ -441,46 +441,4 @@ TEST(AnalyzeCli, NdjsonParallelEmitsSymbolicNames) {
       << R.Output;
 }
 
-TEST(AnalyzeCli, ShardsRunMatchesSequentialCounts) {
-  std::string Input =
-      "printf 'T1: wr(x)\\nT2: wr(x)\\nT1: wr(y)\\nT2: wr(y)\\n' | ";
-  RunResult Seq =
-      runCommand(Input + cli() + " --analysis=ST-WDC --quiet -");
-  RunResult Shd = runCommand(Input + cli() +
-                             " --analysis=ST-WDC --shards=4 --quiet -");
-  EXPECT_EQ(Seq.ExitCode, 2) << Seq.Output;
-  EXPECT_EQ(Shd.ExitCode, 2) << Shd.Output;
-  EXPECT_EQ(Seq.Output, Shd.Output)
-      << "sharded run must report identical summaries";
-  EXPECT_NE(Shd.Output.find("2 dynamic race(s)"), std::string::npos)
-      << Shd.Output;
-}
-
-TEST(AnalyzeCli, ShardsRejectsZero) {
-  RunResult R = runCommand(cli() + " --shards=0 " + trace("racy.trace"));
-  EXPECT_EQ(R.ExitCode, 1) << R.Output;
-  EXPECT_NE(R.Output.find("--shards=0"), std::string::npos) << R.Output;
-}
-
-TEST(AnalyzeCli, ShardsRejectsVindicate) {
-  RunResult R = runCommand(cli() + " --shards=2 --vindicate " +
-                           trace("racy.trace"));
-  EXPECT_EQ(R.ExitCode, 1) << R.Output;
-  EXPECT_NE(R.Output.find("incompatible with --shards"), std::string::npos)
-      << R.Output;
-}
-
-TEST(AnalyzeCli, ShardsRejectsNonShardableAnalyses) {
-  RunResult R = runCommand(cli() + " --shards=2 --analysis=Unopt-HB " +
-                           trace("racy.trace"));
-  EXPECT_EQ(R.ExitCode, 1) << R.Output;
-  EXPECT_NE(R.Output.find("Unopt-HB does not support sharded execution"),
-            std::string::npos)
-      << R.Output;
-  // --all pulls in the non-shardable tiers, so it must be rejected too.
-  RunResult All =
-      runCommand(cli() + " --shards=2 --all " + trace("racy.trace"));
-  EXPECT_EQ(All.ExitCode, 1) << All.Output;
-}
-
 } // namespace

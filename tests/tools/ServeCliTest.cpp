@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <string>
 #include <sys/wait.h>
@@ -129,6 +130,60 @@ TEST(ServeCli, ServerReportsItsAccountingOnExit) {
                           "0 protocol-error(s)"),
             std::string::npos)
       << R.Output;
+}
+
+/// Reads \p Fd to EOF.
+std::string drain(int Fd) {
+  std::string Out;
+  char Buf[4096];
+  ssize_t N;
+  while ((N = read(Fd, Buf, sizeof(Buf))) > 0)
+    Out.append(Buf, static_cast<size_t>(N));
+  return Out;
+}
+
+TEST(ServeCli, SigtermRightAfterPrintPortShutsDownCleanly) {
+  // The port line is printed before the server starts accepting, so a
+  // SIGTERM sent the moment it is read lands in the start-up window; it
+  // must still take the clean path: exit 0 and the accounting line.
+  for (int Round = 0; Round != 3; ++Round) {
+    int Out[2], Err[2];
+    ASSERT_EQ(pipe(Out), 0);
+    ASSERT_EQ(pipe(Err), 0);
+    pid_t Pid = fork();
+    ASSERT_GE(Pid, 0);
+    if (Pid == 0) {
+      dup2(Out[1], STDOUT_FILENO);
+      dup2(Err[1], STDERR_FILENO);
+      close(Out[0]);
+      close(Out[1]);
+      close(Err[0]);
+      close(Err[1]);
+      execl(ST_SERVE_PATH, ST_SERVE_PATH, "--listen=tcp:127.0.0.1:0",
+            "--print-port", static_cast<char *>(nullptr));
+      _exit(127);
+    }
+    close(Out[1]);
+    close(Err[1]);
+    std::string Port;
+    char C;
+    while (read(Out[0], &C, 1) == 1 && C != '\n')
+      Port += C;
+    kill(Pid, SIGTERM);
+    std::string Stderr = drain(Err[0]);
+    close(Out[0]);
+    close(Err[0]);
+    int Status = 0;
+    ASSERT_EQ(waitpid(Pid, &Status, 0), Pid);
+    EXPECT_FALSE(Port.empty()) << Stderr;
+    ASSERT_TRUE(WIFEXITED(Status))
+        << "killed by signal " << WTERMSIG(Status) << "\n" << Stderr;
+    EXPECT_EQ(WEXITSTATUS(Status), 0) << Stderr;
+    EXPECT_NE(Stderr.find("st-serve: 0 accepted, 0 completed, 0 evicted, "
+                          "0 rejected, 0 protocol-error(s)"),
+              std::string::npos)
+        << Stderr;
+  }
 }
 
 } // namespace

@@ -18,22 +18,15 @@ Compares a current BENCH_results.json against a checked-in baseline
     between two analyses measured in the same run is portable, raw
     nanoseconds are not. Same-machine absolute comparison is available
     with --absolute.
-  * shard scaling regression: shard-scaling cells ("shards" field; the
-    variable-sharded executor at 1/2/4/8 shards) are exempt from the
-    relative-cost check — parallel timings do not form stable ratios
-    against sequential reference cells — but when the CURRENT run was
-    recorded on a machine with hardware_concurrency >= 4 and carries
-    both the 1-shard anchor and a 4-shard cell, the 4-shard speedup
-    (events_per_sec ratio) must reach --min-shard-speedup (default
-    1.2x). On fewer cores the check is skipped: sharding cannot beat
-    the sequential core without parallel hardware, and a baseline
-    recorded on a 1-core container must not hard-code that ceiling.
-    Race-count equality still applies to every shard cell, so CI
-    re-proves sharded/sequential parity on every run.
+
+A cell is keyed by (workload, analysis, kind). A report cell that carries
+a "shards" field comes from a removed executor and is refused (exit 2),
+so it can never be compared as if it were the plain cell of the same
+(workload, analysis).
 
 Schema v2 adds "kind": "latency" cells — st-loadgen tail-latency
 reports against a live st-serve. Latency cells are exempt from the
-relative-cost and shard gates (open-loop wall-clock percentiles do not
+relative-cost gate (open-loop wall-clock percentiles do not
 form machine-portable ratios); they are validated structurally with
 --validate-latency:
 
@@ -44,8 +37,8 @@ which fails unless every latency cell has finite, ordered percentiles
 and histogram count == completed), and host provenance
 (hardware_concurrency, offered vs achieved rate). Load-health checks —
 late_sends bounded and a nonzero achieved rate — self-skip with an
-explicit message on starved hosts (hardware_concurrency < 2), the same
-pattern as the shard-scaling gate: a 1-core runner cannot run the
+explicit message on starved hosts (hardware_concurrency < 2): a 1-core
+runner cannot run the
 generator and the server honestly at rate, and that is the host's
 ceiling, not a regression. Absolute latency is never gated: CI boxes
 are shared, and a noisy neighbor must not fail the build.
@@ -56,7 +49,7 @@ cell — a bench run that silently skipped part of the Table 4-6 grid must
 not pass just because the baseline happened to lack the cell too.
 
 Usage: bench_compare.py BASELINE CURRENT [--max-regress=F] [--absolute]
-                        [--require-main-table] [--min-shard-speedup=F]
+                        [--require-main-table]
        bench_compare.py --validate-latency CURRENT
 
 Exit status: 0 when every check passes, 1 on regression, 2 on usage or
@@ -96,65 +89,24 @@ def load(path):
             f"{path} has schema {report.get('schema')!r}, "
             f"expected one of {ACCEPTED_SCHEMAS!r}"
         )
+    for r in report.get("results", []):
+        if "shards" in r:
+            usage_error(
+                f"{path}: cell {r.get('workload')}/{r.get('analysis')} "
+                f"carries \"shards\"; shard-scaling cells are no longer "
+                f"produced or compared"
+            )
     return report
 
 
 def cells(report):
-    # Plain cells carry no "shards" field (key component 0) and no "kind"
-    # (v1 reports predate it); shard-scaling cells key on their shard
-    # count and latency cells on their kind, so none collide with the
-    # plain cell of the same (workload, analysis).
+    # Plain cells carry no "kind" (v1 reports predate it); latency cells
+    # key on their kind, so they never collide with the plain cell of the
+    # same (workload, analysis).
     return {
-        (r["workload"], r["analysis"], r.get("shards", 0),
-         r.get("kind", "")): r
+        (r["workload"], r["analysis"], r.get("kind", "")): r
         for r in report["results"]
     }
-
-
-def shard_speedup_failures(cur, min_shard_speedup):
-    """4-shard speedup gate over the CURRENT run (self-relative, so the
-    baseline machine's core count is irrelevant)."""
-    # Per-cell hardware_concurrency (st-bench records it on every cell)
-    # is authoritative; the config-level copy covers reports from before
-    # the per-cell field existed. Latency cells are excluded: their host
-    # provenance guards the latency gates, not the shard gate.
-    hws = [r["hardware_concurrency"] for r in cur.get("results", [])
-           if "hardware_concurrency" in r and r.get("kind", "") != "latency"]
-    hw = min(hws) if hws else cur.get("config", {}).get(
-        "hardware_concurrency", 0)
-    if hw < 4:
-        print("scaling gate self-skipped: host has <4 cores")
-        print(f"note: hardware_concurrency={hw} < 4; shard speedup "
-              f"check skipped (no parallel hardware; 1-core baseline "
-              f"numbers are not regressions)")
-        return []
-    failures = []
-    anchors = {}
-    for r in cur["results"]:
-        if r.get("kind", "") == "latency":
-            continue
-        if r.get("shards") == 1:
-            anchors[(r["workload"], r["analysis"])] = r
-    checked = 0
-    for r in cur["results"]:
-        if r.get("kind", "") == "latency" or r.get("shards") != 4:
-            continue
-        anchor = anchors.get((r["workload"], r["analysis"]))
-        if anchor is None or anchor.get("events_per_sec", 0) <= 0:
-            continue
-        speedup = r["events_per_sec"] / anchor["events_per_sec"]
-        checked += 1
-        print(f"shards: {r['workload']}/{r['analysis']} 4-shard speedup "
-              f"{speedup:.2f}x (limit >={min_shard_speedup:.2f}x)")
-        if speedup < min_shard_speedup:
-            failures.append(
-                f"shards: {r['workload']}/{r['analysis']} 4-shard speedup "
-                f"{speedup:.2f}x below {min_shard_speedup:.2f}x"
-            )
-    if not checked:
-        print("note: no (1-shard, 4-shard) cell pair in current run; "
-              "shard speedup check skipped")
-    return failures
 
 
 def finite_nonneg(value):
@@ -222,7 +174,7 @@ def validate_latency(path):
               f"p999={hist['p999']}ns over {completed} requests")
 
         # Load-health checks self-skip on starved hosts, with an explicit
-        # message (same pattern as the shard-scaling gate): on <2 cores
+        # message: on <2 cores
         # the generator and server time-share one CPU, so missed send
         # deadlines and a collapsed achieved rate are the host's ceiling,
         # not a serving regression.
@@ -255,7 +207,6 @@ def validate_latency(path):
 
 def main(argv):
     max_regress = 0.35
-    min_shard_speedup = 1.2
     absolute = False
     require_main_table = False
     validate_latency_mode = False
@@ -266,11 +217,6 @@ def main(argv):
                 max_regress = float(arg.split("=", 1)[1])
             except ValueError:
                 usage_error(f"bad --max-regress in {arg!r}")
-        elif arg.startswith("--min-shard-speedup="):
-            try:
-                min_shard_speedup = float(arg.split("=", 1)[1])
-            except ValueError:
-                usage_error(f"bad --min-shard-speedup in {arg!r}")
         elif arg == "--absolute":
             absolute = True
         elif arg == "--require-main-table":
@@ -308,7 +254,7 @@ def main(argv):
     if require_main_table:
         for workload in [w["name"] for w in base.get("workloads", [])]:
             for analysis in MAIN_TABLE_ANALYSES:
-                if (workload, analysis, 0, "") not in cur_cells:
+                if (workload, analysis, "") not in cur_cells:
                     failures.append(
                         f"main-table: {workload}/{analysis} missing from "
                         f"current run (cell skipped?)"
@@ -316,10 +262,8 @@ def main(argv):
     print(f"{'workload':<10} {'analysis':<12} {'base':>9} {'cur':>9} "
           f"{'delta':>8}  ({metric}, limit +{max_regress:.0%})")
     for key in sorted(base_cells):
-        workload, analysis, shards, kind = key
-        label = f"{analysis}/{shards}" if shards else analysis
-        if kind:
-            label = f"{label}[{kind}]"
+        workload, analysis, kind = key
+        label = f"{analysis}[{kind}]" if kind else analysis
         b = base_cells[key]
         c = cur_cells.get(key)
         if c is None:
@@ -336,11 +280,9 @@ def main(argv):
                 f"{c['static_races']} ({c['dynamic_races']}) "
                 f"with identical workload config"
             )
-        if shards or kind == "latency":
-            # Shard timings depend on core count and scheduler, and
-            # open-loop latency on wall-clock contention, so no
-            # cost-ratio gate; shard_speedup_failures() and
-            # --validate-latency cover them.
+        if kind == "latency":
+            # Open-loop latency depends on wall-clock contention, so no
+            # cost-ratio gate; --validate-latency covers it.
             continue
         bv, cv = b.get(metric), c.get(metric)
         if bv is None or cv is None or bv <= 0:
@@ -356,8 +298,6 @@ def main(argv):
             flag = "  <-- FAIL"
         print(f"{workload:<10} {analysis:<12} {bv:>9.3g} {cv:>9.3g} "
               f"{delta:>+7.1%}{flag}")
-
-    failures += shard_speedup_failures(cur, min_shard_speedup)
 
     if not same_config:
         print("note: workload config differs from baseline; race-count "

@@ -64,8 +64,6 @@ struct Options {
   bool Quiet = false;
   bool Parallel = false;
   size_t BatchSize = 1 << 14;
-  size_t Shards = 1;
-  bool PinShards = false;
   size_t MaxStoredRaces = SIZE_MAX;
   ValidationMode Validation = ValidationMode::Off;
   size_t MaxDiags = 1024;
@@ -104,11 +102,6 @@ void printUsage(FILE *Out, const char *Prog) {
       "engine options:\n"
       "  --batch=N        events per engine batch (default 16384)\n"
       "  --parallel       one worker thread per analysis\n"
-      "  --shards=N       split each analysis's per-variable work across\n"
-      "                   N shard threads (identical results, one hot\n"
-      "                   stream); FTO-*/ST-* predictive analyses only\n"
-      "  --pin-shards     pin shard worker threads to distinct CPUs\n"
-      "                   (Linux; no-op elsewhere); requires --shards>=2\n"
       "  --validate=MODE  lint pass over the input (st-lint's full rule\n"
       "                   set): off (default; raw hard checks only), warn\n"
       "                   (diagnostics on stderr, analysis proceeds over\n"
@@ -123,9 +116,9 @@ void printUsage(FILE *Out, const char *Prog) {
       "                   of in-process: upload the input over unix:PATH\n"
       "                   or HOST:PORT and stream the server's NDJSON\n"
       "                   report lines (race/diag/summary/stream/error)\n"
-      "                   to stdout; --analysis/--shards/--validate/\n"
-      "                   --max-races/--max-diags/--batch are forwarded\n"
-      "                   in the handshake (docs/serving.md)\n"
+      "                   to stdout; --analysis/--validate/--max-races/\n"
+      "                   --max-diags/--batch are forwarded in the\n"
+      "                   handshake (docs/serving.md)\n"
       "\n"
       "trace tooling:\n"
       "  --convert=FMT    no analysis: re-encode the input as text or stb\n"
@@ -249,22 +242,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       if (Opts.BatchSize == 0)
         Opts.BatchSize = 1;
-    } else if (std::strncmp(Arg, "--shards=", 9) == 0) {
-      if (!parseCount(Arg + 9, "--shards", Opts.Shards))
-        return false;
-      if (Opts.Shards == 0) {
-        std::fprintf(stderr, "error: --shards=0 makes no sense; use "
-                             "--shards=1 for sequential execution\n");
-        return false;
-      }
-      if (Opts.Shards > 64) {
-        std::fprintf(stderr, "error: --shards=%zu is past any plausible "
-                             "core count (max 64)\n",
-                     Opts.Shards);
-        return false;
-      }
-    } else if (std::strcmp(Arg, "--pin-shards") == 0) {
-      Opts.PinShards = true;
     } else if (std::strncmp(Arg, "--max-diags=", 12) == 0) {
       if (!parseCount(Arg + 12, "--max-diags", Opts.MaxDiags))
         return false;
@@ -332,30 +309,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     std::fprintf(stderr, "error: --vindicate needs stored races; it is "
                          "incompatible with --format=ndjson\n");
     return false;
-  }
-  if (Opts.PinShards && Opts.Shards < 2) {
-    std::fprintf(stderr, "error: --pin-shards pins shard worker threads; "
-                         "it needs --shards=N with N >= 2\n");
-    return false;
-  }
-  if (Opts.Shards > 1) {
-    // Reject nonsensical shard combos up front rather than silently
-    // running something other than what was asked for.
-    if (Opts.Vindicate) {
-      std::fprintf(stderr,
-                   "error: --vindicate replays the buffered trace "
-                   "sequentially; it is incompatible with --shards\n");
-      return false;
-    }
-    for (AnalysisKind K : Opts.Kinds)
-      if (!isShardable(K)) {
-        std::fprintf(stderr,
-                     "error: %s does not support sharded execution; "
-                     "--shards applies to the FTO-*/ST-* predictive "
-                     "analyses only\n",
-                     analysisKindName(K));
-        return false;
-      }
   }
   return true;
 }
@@ -578,25 +531,6 @@ void printCaseStats(const AnalysisRunResult &A) {
   Row("shared", S.WriteShared);
 }
 
-void printShardStats(const AnalysisRunResult &A) {
-  if (!A.HasShardStats)
-    return;
-  const ShardRunStats &S = A.ShardStats;
-  auto Row = [](const char *Label, uint64_t N) {
-    std::printf("    %-20s %llu\n", Label,
-                static_cast<unsigned long long>(N));
-  };
-  std::printf("  shard execution (%llu shards):\n",
-              static_cast<unsigned long long>(S.Shards));
-  Row("deltas published", S.DeltasPublished);
-  Row("deltas coalesced", S.DeltasCoalesced);
-  Row("deltas adopted", S.DeltasAdopted);
-  Row("sync replayed", S.SyncReplayed);
-  Row("sync fast-forwarded", S.SyncFastForwarded);
-  Row("spin wakeups", S.SpinWakeups);
-  Row("park wakeups", S.ParkWakeups);
-}
-
 //===----------------------------------------------------------------------===//
 // JSON / NDJSON reports
 //===----------------------------------------------------------------------===//
@@ -672,27 +606,6 @@ void jsonCaseStats(std::string &Out, const CaseStats &S) {
   Out += '}';
 }
 
-/// Sharded-executor counters; field order matches the SUMMARY frame's
-/// shard_stats object (serve/Frame.cpp).
-void jsonShardStats(std::string &Out, const ShardRunStats &S) {
-  auto Field = [&](const char *K, uint64_t V, bool Comma = true) {
-    jsonKey(Out, K);
-    jsonUInt(Out, V);
-    if (Comma)
-      Out += ',';
-  };
-  Out += '{';
-  Field("shards", S.Shards);
-  Field("deltas_published", S.DeltasPublished);
-  Field("deltas_coalesced", S.DeltasCoalesced);
-  Field("deltas_adopted", S.DeltasAdopted);
-  Field("sync_replayed", S.SyncReplayed);
-  Field("sync_fast_forwarded", S.SyncFastForwarded);
-  Field("spin_wakeups", S.SpinWakeups);
-  Field("park_wakeups", S.ParkWakeups, false);
-  Out += '}';
-}
-
 std::string jsonReport(const RunReport &Rep, const Options &Opts,
                        TraceFormat Fmt, const SymbolTables &Syms) {
   const StreamStats &St = Rep.Stream;
@@ -740,11 +653,6 @@ std::string jsonReport(const RunReport &Rep, const Options &Opts,
       Out += ',';
       jsonKey(Out, "case_stats");
       jsonCaseStats(Out, A.Cases);
-    }
-    if (Opts.Stats && A.HasShardStats) {
-      Out += ',';
-      jsonKey(Out, "shard_stats");
-      jsonShardStats(Out, A.ShardStats);
     }
     if (!Opts.Quiet) {
       Out += ',';
@@ -841,11 +749,6 @@ void printNdjsonSummaries(const RunReport &Rep, const Options &Opts) {
       jsonKey(Out, "case_stats");
       jsonCaseStats(Out, A.Cases);
     }
-    if (Opts.Stats && A.HasShardStats) {
-      Out += ',';
-      jsonKey(Out, "shard_stats");
-      jsonShardStats(Out, A.ShardStats);
-    }
     Out += "}\n";
     std::fwrite(Out.data(), 1, Out.size(), stdout);
   }
@@ -925,8 +828,6 @@ int runConnect(const Options &Opts) {
   HelloOptions Hello;
   for (AnalysisKind K : Opts.Kinds)
     Hello.Analyses.push_back(analysisKindName(K));
-  Hello.Shards = Opts.Shards;
-  Hello.PinShards = Opts.PinShards ? 1 : 0;
   Hello.Validation = static_cast<uint64_t>(Opts.Validation);
   if (Opts.MaxStoredRaces != SIZE_MAX)
     Hello.MaxRaceLines = Opts.MaxStoredRaces;
@@ -1054,8 +955,6 @@ int main(int Argc, char **Argv) {
   SessionOptions SessOpts;
   SessOpts.BatchSize = Opts.BatchSize;
   SessOpts.Parallel = Opts.Parallel;
-  SessOpts.Shards = static_cast<unsigned>(Opts.Shards);
-  SessOpts.PinShards = Opts.PinShards;
   SessOpts.MaxStoredRaces = Opts.MaxStoredRaces;
   SessOpts.Vindicate = Opts.Vindicate;
   SessOpts.Validation = Opts.Validation;
@@ -1137,10 +1036,8 @@ int main(int Argc, char **Argv) {
                   A.StaticRaces);
       if (!Opts.Quiet) {
         printRaces(A, Syms);
-        if (Opts.Stats) {
+        if (Opts.Stats)
           printCaseStats(A);
-          printShardStats(A);
-        }
       }
     }
     break;

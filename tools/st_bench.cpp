@@ -48,13 +48,6 @@ namespace {
 
 /// The shape of one predefined suite. Workload/analysis lists are indexes
 /// into the registry and profile tables, so suite declarations stay data.
-/// One shard-scaling column: the (workload, analysis) pair measured once
-/// per shard count on the sharded executor (SessionOptions::Shards).
-struct ShardCellSpec {
-  std::string Workload;
-  AnalysisKind Kind;
-};
-
 struct SuiteSpec {
   const char *Name;
   const char *Description;
@@ -63,11 +56,6 @@ struct SuiteSpec {
   uint64_t Events;
   unsigned Warmup;
   unsigned Repeats;
-  /// Shard-scaling cells, measured after the plain grid. The 1-shard
-  /// count is the scaling denominator (Session runs the plain core when
-  /// Shards == 1, so it doubles as a wrapper-overhead check).
-  std::vector<ShardCellSpec> ShardCells;
-  std::vector<unsigned> ShardCounts;
 };
 
 /// The ladder every suite measures by default: the FT2 reference plus the
@@ -93,26 +81,20 @@ const std::vector<SuiteSpec> &suites() {
                  ladderAnalyses(),
                  20000,
                  0,
-                 1,
-                 {},
-                 {}});
+                 1});
     // The ci suite covers every main-table analysis (Tables 4-6's 11
     // configurations), so the regression gate sees the full WCP/DC/WDC
     // grid including the Unopt tiers and the WDC column. Relative costs
     // are quoted against the in-run Unopt-HB cell (the grid's first row;
     // FT2 is not a main-table configuration).
-    // Shard-scaling column: ST-WDC on avrora (7 threads, the best
-    // sync/access balance of the small set) at 1/2/4/8 variable shards.
     S.push_back({"ci",
                  "CI regression gate: 3 workloads x 11 main-table analyses,"
-                 " 200k events, median of 3, + ST-WDC shard scaling",
+                 " 200k events, median of 3",
                  SmallSet,
                  mainTableAnalysisKinds(),
                  200000,
                  1,
-                 3,
-                 {{"avrora", AnalysisKind::STWDC}},
-                 {1, 2, 4, 8}});
+                 3});
     std::vector<std::string> All;
     for (const WorkloadProfile &P : dacapoProfiles())
       All.push_back(P.Name);
@@ -122,16 +104,12 @@ const std::vector<SuiteSpec> &suites() {
     Full.push_back(AnalysisKind::UnoptDC);
     Full.push_back(AnalysisKind::UnoptWDC);
     S.push_back({"full",
-                 "all 10 workloads x 12 analyses, 500k events, median of 5,"
-                 " + FTO/ST-WDC shard scaling",
+                 "all 10 workloads x 12 analyses, 500k events, median of 5",
                  All,
                  Full,
                  500000,
                  1,
-                 5,
-                 {{"avrora", AnalysisKind::STWDC},
-                  {"avrora", AnalysisKind::FTOWDC}},
-                 {1, 2, 4, 8}});
+                 5});
     return S;
   }();
   return Suites;
@@ -149,8 +127,6 @@ struct Options {
   const char *OutPath = "BENCH_results.json";
   bool Quiet = false;
   ValidationMode Validation = ValidationMode::Off;
-  std::vector<unsigned> ShardCounts; // overrides suite when set
-  bool ShardCountsSet = false;
 };
 
 void printUsage(FILE *Out, const char *Prog) {
@@ -171,8 +147,6 @@ void printUsage(FILE *Out, const char *Prog) {
       "  --repeats=N      measured trials per cell, median reported\n"
       "  --batch=N        events per engine batch (default 16384)\n"
       "  --seed=N         workload generator seed (default 42)\n"
-      "  --shards=a,b,c   shard counts for the suite's shard-scaling\n"
-      "                   cells (default: suite's; empty list disables)\n"
       "  --validate=MODE  Session lint pass: off (default), warn, or\n"
       "                   strict; lint runs in the source wrapper, so\n"
       "                   per-cell analysis times are comparable either\n"
@@ -286,17 +260,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (std::strncmp(Arg, "--seed=", 7) == 0) {
       if (!parseCount(Arg + 7, "--seed", Opts.Seed))
         return false;
-    } else if (std::strncmp(Arg, "--shards=", 9) == 0) {
-      Opts.ShardCountsSet = true;
-      Opts.ShardCounts.clear();
-      for (const std::string &C : splitCommas(Arg + 9)) {
-        if (!parseCount(C.c_str(), "--shards", N) || N == 0 || N > 64) {
-          std::fprintf(stderr,
-                       "error: --shards counts must be in [1, 64]\n");
-          return false;
-        }
-        Opts.ShardCounts.push_back(static_cast<unsigned>(N));
-      }
     } else if (std::strncmp(Arg, "--validate=", 11) == 0) {
       const char *V = Arg + 11;
       if (std::strcmp(V, "off") == 0) {
@@ -341,8 +304,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     Opts.Warmup = Opts.Suite->Warmup;
   if (Opts.Repeats == UINT_MAX)
     Opts.Repeats = Opts.Suite->Repeats;
-  if (!Opts.ShardCountsSet)
-    Opts.ShardCounts = Opts.Suite->ShardCounts;
   return true;
 }
 
@@ -354,12 +315,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
 struct CellResult {
   std::string Workload;
   AnalysisKind Kind;
-  /// 0 = plain core; N >= 1 = sharded executor with N variable shards
-  /// (SessionOptions::Shards; 1 runs the plain core and anchors scaling).
-  unsigned Shards = 0;
-  /// eventsPerSec(N shards) / (N * eventsPerSec(1 shard)); 0 until the
-  /// 1-shard anchor cell is known. Only meaningful when Shards > 1.
-  double ScalingEfficiency = 0;
   uint64_t Events = 0;
   std::vector<double> Seconds; // all measured trials, run order
   double MedianSeconds = 0;
@@ -421,19 +376,16 @@ double measureDrain(const WorkloadProfile &P, const Options &Opts) {
 }
 
 CellResult measureCell(const WorkloadProfile &P, AnalysisKind Kind,
-                       const Options &Opts, unsigned Shards = 0) {
+                       const Options &Opts) {
   CellResult Cell;
   Cell.Workload = P.Name;
   Cell.Kind = Kind;
-  Cell.Shards = Shards;
   for (unsigned T = 0; T != Opts.Warmup + Opts.Repeats; ++T) {
     SessionOptions SO;
     SO.BatchSize = Opts.BatchSize;
     SO.SampleFootprint = true;
     SO.MaxStoredRaces = 64;
     SO.Validation = Opts.Validation;
-    if (Shards)
-      SO.Shards = Shards;
     Session S(SO);
     S.add(Kind);
     RunReport Rep = streamOnce(P, Opts, S);
@@ -499,8 +451,8 @@ std::string jsonReport(const Options &Opts,
   jsonUInt(Out, Opts.BatchSize);
   Out += ", \"seed\": ";
   jsonUInt(Out, Opts.Seed);
-  // Recorded so the shard-scaling gate can tell "no speedup because the
-  // machine has too few cores" from a real regression.
+  // Host provenance: comparison tooling can tell a starved machine from
+  // a real regression.
   Out += ", \"hardware_concurrency\": ";
   jsonUInt(Out, std::thread::hardware_concurrency());
   Out += ", \"reference\": ";
@@ -527,7 +479,7 @@ std::string jsonReport(const Options &Opts,
     // keeping the ratio free of cross-workload generation differences.
     const CellResult *Ref = nullptr;
     for (const CellResult &C : WR.Cells)
-      if (!C.Shards && ReferenceName &&
+      if (ReferenceName &&
           std::strcmp(analysisKindName(C.Kind), ReferenceName) == 0)
         Ref = &C;
     for (const CellResult &C : WR.Cells) {
@@ -535,19 +487,11 @@ std::string jsonReport(const Options &Opts,
       jsonString(Out, C.Workload.c_str());
       Out += ", \"analysis\": ";
       jsonString(Out, analysisKindName(C.Kind));
-      if (C.Shards) {
-        Out += ", \"shards\": ";
-        jsonUInt(Out, C.Shards);
-        if (C.Shards > 1) {
-          Out += ", \"scaling_efficiency\": ";
-          jsonNumber(Out, C.ScalingEfficiency);
-        }
-      }
       Out += ", \"events\": ";
       jsonUInt(Out, C.Events);
       // Per-cell copy of the host's core count: comparison tooling reads
-      // cells in isolation, and a shard cell's numbers are only
-      // meaningful against the hardware they ran on.
+      // cells in isolation, and a cell's numbers are only meaningful
+      // against the hardware they ran on.
       Out += ", \"hardware_concurrency\": ";
       jsonUInt(Out, std::thread::hardware_concurrency());
       Out += ",\n     \"seconds\": [";
@@ -601,29 +545,17 @@ void printTable(const std::vector<WorkloadResult> &Workloads,
                 "events/sec", "vs-ref", "peak-KiB", "races");
     const CellResult *Ref = nullptr;
     for (const CellResult &C : WR.Cells)
-      if (!C.Shards && ReferenceName &&
+      if (ReferenceName &&
           std::strcmp(analysisKindName(C.Kind), ReferenceName) == 0)
         Ref = &C;
     for (const CellResult &C : WR.Cells) {
       char RefBuf[16] = "-";
-      if (C.Shards > 1) {
-        // Shard-scaling rows quote efficiency, not relative cost.
-        std::snprintf(RefBuf, sizeof(RefBuf), "%.0f%%eff",
-                      C.ScalingEfficiency * 100);
-      } else if (Ref && Ref->MedianSeconds > 0) {
+      if (Ref && Ref->MedianSeconds > 0)
         std::snprintf(RefBuf, sizeof(RefBuf), "%.2fx",
                       C.MedianSeconds / Ref->MedianSeconds);
-      }
-      char NameBuf[24];
-      if (C.Shards)
-        std::snprintf(NameBuf, sizeof(NameBuf), "%s/%u",
-                      analysisKindName(C.Kind), C.Shards);
-      else
-        std::snprintf(NameBuf, sizeof(NameBuf), "%s",
-                      analysisKindName(C.Kind));
-      std::printf("  %-9s %12.1f %14.0f %9s %10.0f %7llu\n", NameBuf,
-                  C.nsPerEvent(), C.eventsPerSec(), RefBuf,
-                  static_cast<double>(C.PeakFootprintBytes) / 1024,
+      std::printf("  %-9s %12.1f %14.0f %9s %10.0f %7llu\n",
+                  analysisKindName(C.Kind), C.nsPerEvent(), C.eventsPerSec(),
+                  RefBuf, static_cast<double>(C.PeakFootprintBytes) / 1024,
                   static_cast<unsigned long long>(C.DynamicRaces));
     }
   }
@@ -663,29 +595,6 @@ int main(int Argc, char **Argv) {
       CellResult Cell = measureCell(*P, K, Opts);
       WR.Events = Cell.Events;
       WR.Cells.push_back(std::move(Cell));
-    }
-    // Shard-scaling column for this workload: one cell per shard count,
-    // then efficiency against the 1-shard anchor measured in this run.
-    for (const ShardCellSpec &SC : Opts.Suite->ShardCells) {
-      if (SC.Workload != Name || !isShardable(SC.Kind))
-        continue;
-      size_t First = WR.Cells.size();
-      for (unsigned Shards : Opts.ShardCounts) {
-        if (!Opts.Quiet) {
-          std::fprintf(stderr, "bench: %s / %s x%u shards...\n", P->Name,
-                       analysisKindName(SC.Kind), Shards);
-        }
-        WR.Cells.push_back(measureCell(*P, SC.Kind, Opts, Shards));
-      }
-      const CellResult *Anchor = nullptr;
-      for (size_t I = First; I != WR.Cells.size(); ++I)
-        if (WR.Cells[I].Shards == 1)
-          Anchor = &WR.Cells[I];
-      if (Anchor && Anchor->eventsPerSec() > 0)
-        for (size_t I = First; I != WR.Cells.size(); ++I)
-          WR.Cells[I].ScalingEfficiency =
-              WR.Cells[I].eventsPerSec() /
-              (WR.Cells[I].Shards * Anchor->eventsPerSec());
     }
     Workloads.push_back(std::move(WR));
   }

@@ -21,7 +21,7 @@
 // Usage:
 //   st-loadgen --connect=ADDR [--events-per-sec=R] [--connections=C]
 //              [--duration=S] [--seed=K] [--workload=NAME]
-//              [--analysis=A,B,..] [--shards=N] [--events-per-request=N]
+//              [--analysis=A,B,..] [--events-per-request=N]
 //              [--dist=fixed|uniform|exp] [--out=FILE|-] [--quiet]
 //
 // Exit status: 0 on a measured run, 1 on usage/config errors or when no
@@ -68,7 +68,6 @@ void printUsage(FILE *To) {
       "                         event streams and arrival schedules\n"
       "  --workload=NAME        workload profile (default avrora)\n"
       "  --analysis=A,B,..      analyses to request (default: server's)\n"
-      "  --shards=N             shards to request per connection\n"
       "  --events-per-request=N mean events per request (default 2000)\n"
       "  --dist=KIND            per-request event count distribution:\n"
       "                         fixed | uniform | exp (default fixed)\n"
@@ -159,11 +158,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.Gen.Workload = V;
     } else if ((V = Value(Arg, "--analysis"))) {
       splitList(V, Opts.Gen.Analyses);
-    } else if ((V = Value(Arg, "--shards"))) {
-      if (!parseUInt(V, Opts.Gen.Shards) || Opts.Gen.Shards == 0) {
-        std::fprintf(stderr, "error: bad --shards: %s\n", V);
-        return false;
-      }
     } else if ((V = Value(Arg, "--events-per-request"))) {
       if (!parseUInt(V, Opts.Gen.EventsPerRequest) ||
           Opts.Gen.EventsPerRequest == 0) {
@@ -282,9 +276,9 @@ std::string jsonReport(const Options &Opts, const LoadgenReport &R) {
              : Opts.Gen.Dist == EventCountDist::Uniform ? "uniform"
                                                              : "exp");
   // Host provenance: the tail gates in bench_compare.py read this to
-  // self-skip on starved runners, same pattern as the shard-scaling
-  // gate. The client and server share the host in CI; a cross-host run
-  // records the client side, which is the generator's own capability.
+  // self-skip on starved runners. The client and server share the host
+  // in CI; a cross-host run records the client side, which is the
+  // generator's own capability.
   Out += ", \"hardware_concurrency\": ";
   jsonUInt(Out, Cores);
   Out += "},\n  \"results\": [\n";
@@ -293,10 +287,6 @@ std::string jsonReport(const Options &Opts, const LoadgenReport &R) {
   Out += ", \"analysis\": ";
   jsonString(Out, analysisLabel(Opts));
   Out += ", \"kind\": \"latency\"";
-  if (Opts.Gen.Shards > 1) {
-    Out += ", \"shards\": ";
-    jsonUInt(Out, Opts.Gen.Shards);
-  }
   Out += ",\n     \"connections\": ";
   jsonUInt(Out, Opts.Gen.Connections);
   Out += ", \"requests\": ";

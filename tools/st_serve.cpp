@@ -50,9 +50,6 @@ struct Options {
   size_t MaxFrame = DefaultMaxFramePayload;
   size_t Batch = 0;
   size_t IoBuffer = 0;
-  unsigned ShardsCap = 8;
-  unsigned ShardThreads = 0;
-  bool PinShards = false;
   std::vector<AnalysisKind> DefaultKinds;
   bool PrintPort = false;
 };
@@ -82,14 +79,6 @@ void printUsage(FILE *Out, const char *Prog) {
       "  --max-frame=N      per-frame payload cap in bytes (default 1MiB)\n"
       "  --analysis=NAME    default analysis when a client names none\n"
       "                     (repeatable; default ST-WDC)\n"
-      "  --shards-cap=N     max shards a client may request (default 8)\n"
-      "  --shard-threads=N  process-wide budget of extra shard worker\n"
-      "                     threads; concurrent connections lease from\n"
-      "                     this one pool (a shards=K connection holds\n"
-      "                     K-1) and are granted fewer shards when it is\n"
-      "                     depleted (default 0 = no pool)\n"
-      "  --pin-shards       pin shard worker threads to distinct CPUs\n"
-      "                     (Linux; no-op elsewhere)\n"
       "  --batch=N          default engine batch size\n"
       "  --io-buffer=N      per-connection decode buffer bytes\n"
       "  --print-port       print the bound TCP port to stdout (for\n"
@@ -149,20 +138,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
       Opts.DefaultKinds.push_back(Kind);
-    } else if (std::strncmp(Arg, "--shards-cap=", 13) == 0) {
-      if (!parseCount(Arg + 13, "--shards-cap", N) || N == 0 || N > 64) {
-        std::fprintf(stderr, "error: --shards-cap must be 1..64\n");
-        return false;
-      }
-      Opts.ShardsCap = static_cast<unsigned>(N);
-    } else if (std::strncmp(Arg, "--shard-threads=", 16) == 0) {
-      if (!parseCount(Arg + 16, "--shard-threads", N) || N > 4096) {
-        std::fprintf(stderr, "error: --shard-threads must be 0..4096\n");
-        return false;
-      }
-      Opts.ShardThreads = static_cast<unsigned>(N);
-    } else if (std::strcmp(Arg, "--pin-shards") == 0) {
-      Opts.PinShards = true;
     } else if (std::strncmp(Arg, "--batch=", 8) == 0) {
       if (!parseCount(Arg + 8, "--batch", N) || N == 0) {
         std::fprintf(stderr, "error: --batch must be positive\n");
@@ -197,6 +172,12 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  // Handlers go in first: a signal that arrives while the listeners bind
+  // or the server starts must still end in the clean shutdown below,
+  // accounting line included, not in the default kill.
+  std::signal(SIGINT, onSignal);
+  std::signal(SIGTERM, onSignal);
+
   Options Opts;
   if (!parseArgs(Argc, Argv, Opts))
     return 1;
@@ -206,9 +187,6 @@ int main(int Argc, char **Argv) {
   SO.MaxFramePayload = Opts.MaxFrame;
   SO.MemoryBudgetBytes = Opts.MemoryBudget;
   SO.TimeBudgetSeconds = Opts.TimeBudget;
-  SO.MaxShards = Opts.ShardsCap;
-  SO.ShardThreadBudget = Opts.ShardThreads;
-  SO.Session.PinShards = Opts.PinShards;
   SO.MaxConnections = Opts.MaxConns;
   if (!Opts.DefaultKinds.empty())
     SO.DefaultKinds = Opts.DefaultKinds;
@@ -249,9 +227,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
 
   // The signal handler may only flip a flag, so shutdown is a poll: wake
   // a few times a second, leave on signal or once --max-conns
