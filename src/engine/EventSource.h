@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The engine layer's event abstraction: every trace consumer (the CLI, the
-/// benches, the AnalysisDriver) pulls chunked batches of events from an
+/// benches, Session) pulls chunked batches of events from an
 /// EventSource instead of materializing a std::vector<Event>. Sources exist
 /// for in-memory traces, the streaming TraceText parser, the STB binary
 /// reader, and the synthetic workload generator, so analyses run in
@@ -47,6 +47,45 @@ public:
   virtual bool error(std::string *Msg = nullptr) const {
     (void)Msg;
     return false;
+  }
+};
+
+/// Id-space maxima and event count of a streamed trace, the streaming
+/// replacement for Trace::numThreads() and friends.
+struct StreamStats {
+  unsigned NumThreads = 0;
+  unsigned NumVars = 0;
+  unsigned NumLocks = 0;
+  unsigned NumVolatiles = 0;
+  uint64_t Events = 0;
+
+  /// Folds one event in. Inline: it runs once per event on the decode
+  /// path.
+  void observe(const Event &E) {
+    auto Grow = [](unsigned &Max, uint32_t Id) {
+      if (Id + 1 > Max)
+        Max = Id + 1;
+    };
+    Grow(NumThreads, E.Tid);
+    switch (E.Kind) {
+    case EventKind::Read:
+    case EventKind::Write:
+      Grow(NumVars, E.Target);
+      break;
+    case EventKind::Acquire:
+    case EventKind::Release:
+      Grow(NumLocks, E.Target);
+      break;
+    case EventKind::Fork:
+    case EventKind::Join:
+      Grow(NumThreads, E.Target);
+      break;
+    case EventKind::VolRead:
+    case EventKind::VolWrite:
+      Grow(NumVolatiles, E.Target);
+      break;
+    }
+    ++Events;
   }
 };
 

@@ -10,6 +10,7 @@
 #include "serve/Frame.h"
 #include "serve/Socket.h"
 #include "support/Bytes.h"
+#include "support/Json.h"
 #include "trace/Stb.h"
 #include "workload/Workload.h"
 
@@ -34,25 +35,6 @@ uint64_t elapsedNs(SteadyClock::time_point Since) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           SteadyClock::now() - Since)
           .count());
-}
-
-/// Extracts "KEY":N from an NDJSON line; false when absent.
-bool scanJsonUInt(std::string_view Line, std::string_view Key,
-                  uint64_t &Out) {
-  size_t P = Line.find(Key);
-  if (P == std::string_view::npos)
-    return false;
-  P += Key.size();
-  uint64_t V = 0;
-  bool Any = false;
-  while (P < Line.size() && Line[P] >= '0' && Line[P] <= '9') {
-    V = V * 10 + static_cast<uint64_t>(Line[P] - '0');
-    ++P;
-    Any = true;
-  }
-  if (Any)
-    Out = V;
-  return Any;
 }
 
 /// What one worker accumulates; merged after join, so workers share
@@ -105,11 +87,11 @@ void drainFrames(int Fd, SteadyClock::time_point Start, ReaderState &RS) {
       uint64_t V = 0;
       // The final stream line closes the measurement window: stamp its
       // receipt, and read the accounting fields off it.
-      if (scanJsonUInt(F.Payload, "\"total_dynamic_races\":", V)) {
+      if (jsonScanUInt(F.Payload, "\"total_dynamic_races\":", V)) {
         RS.EndNs = elapsedNs(Start);
         RS.SawStreamSummary = true;
         RS.Races = V;
-        scanJsonUInt(F.Payload, "\"service_ns\":", RS.ServiceNs);
+        jsonScanUInt(F.Payload, "\"service_ns\":", RS.ServiceNs);
       }
       break;
     }

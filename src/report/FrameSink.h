@@ -7,7 +7,7 @@
 /// \file
 /// The serving layer's race reporter: a RaceSink that renders each report
 /// with the ordinary NdjsonSink (so wire race lines are byte-identical to
-/// st-analyze --report=ndjson output) and ships every line as one RACE
+/// st-analyze --format=ndjson output) and ships every line as one RACE
 /// frame. Constant memory per connection — the staging buffer holds one
 /// line at a time — and the same symbol-snapshot discipline as the NDJSON
 /// sink, so framed symbolic output is safe at engine quiet points.

@@ -25,51 +25,11 @@ std::string st::symbolOrId(const std::vector<std::string> *Names,
   return Prefix + std::to_string(Id);
 }
 
-void st::jsonAppendEscaped(std::string &Out, std::string_view S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 namespace {
-
-void appendEscaped(std::string &Out, const std::string &S) {
-  jsonAppendEscaped(Out, S);
-}
 
 void appendSymbol(std::string &Out, const std::vector<std::string> *Names,
                   uint32_t Id, char Prefix) {
-  appendEscaped(Out, symbolOrId(Names, Id, Prefix));
-}
-
-void appendUInt(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu",
-                static_cast<unsigned long long>(V));
-  Out += Buf;
+  jsonAppendEscaped(Out, symbolOrId(Names, Id, Prefix));
 }
 
 } // namespace
@@ -92,9 +52,9 @@ void NdjsonSink::onRace(const RaceReport &R) {
   }
 
   std::string Line = "{\"type\":\"race\",\"analysis\":";
-  appendEscaped(Line, R.AnalysisName);
+  jsonAppendEscaped(Line, R.AnalysisName);
   Line += ",\"event\":";
-  appendUInt(Line, R.EventIdx);
+  jsonAppendUInt(Line, R.EventIdx);
   Line += R.IsWrite ? ",\"kind\":\"write\"" : ",\"kind\":\"read\"";
   Line += ",\"var\":";
   appendSymbol(Line, LiveVarNames ? &VarSnapshot : nullptr, R.Var, 'x');
@@ -102,13 +62,13 @@ void NdjsonSink::onRace(const RaceReport &R) {
   appendSymbol(Line, LiveThreadNames ? &ThreadSnapshot : nullptr, R.Tid,
                'T');
   Line += ",\"site\":";
-  appendEscaped(Line, raceSiteString(R));
+  jsonAppendEscaped(Line, raceSiteString(R));
   if (!R.Prior.isNone()) {
     Line += ",\"prior_thread\":";
     appendSymbol(Line, LiveThreadNames ? &ThreadSnapshot : nullptr,
                  R.Prior.tid(), 'T');
     Line += ",\"prior_clock\":";
-    appendUInt(Line, R.Prior.clock());
+    jsonAppendUInt(Line, R.Prior.clock());
   }
   Line += "}\n";
   if (!Out.write(Line.data(), Line.size()))

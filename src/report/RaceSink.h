@@ -28,6 +28,7 @@
 #include "support/Bytes.h"
 #include "support/DenseIdSet.h"
 #include "support/Epoch.h"
+#include "support/Json.h" // re-exported: JSON consumers of race reports
 #include "support/Types.h"
 
 #include <cstdint>
@@ -82,12 +83,6 @@ std::string raceSiteString(const RaceReport &R);
 /// formatter for thread/variable ids.
 std::string symbolOrId(const std::vector<std::string> *Names, uint32_t Id,
                        char Prefix);
-
-/// Appends \p S as a double-quoted JSON string (quotes included),
-/// escaping quotes, backslashes, and control characters — the one JSON
-/// string encoder shared by the NDJSON sink and the serving layer's wire
-/// encoders.
-void jsonAppendEscaped(std::string &Out, std::string_view S);
 
 /// Abstract push-based race consumer. onRace() is called once per counted
 /// dynamic race (reports are already deduplicated per access event by the
@@ -204,7 +199,7 @@ private:
 /// demand — so the live tables may keep growing on another thread (the
 /// parallel engine's decode thread interns names mid-parse) as long as
 /// refreshSymbols() is only called at quiet points
-/// (DriverOptions::OnBatchPublish).
+/// (SessionOptions::OnBatchPublish).
 class NdjsonSink : public RaceSink {
 public:
   explicit NdjsonSink(ByteSink &Out) : Out(Out) {}

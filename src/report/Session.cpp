@@ -6,14 +6,22 @@
 
 #include "report/Session.h"
 
-#include "engine/EventSource.h"
 #include "lint/LintingEventSource.h"
 
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
+#include <thread>
 
 using namespace st;
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double secondsSince(Clock::time_point Start) {
+  return std::chrono::duration<double>(Clock::now() - Start).count();
+}
 
 /// Serializes onRace() calls from the parallel engine's per-analysis
 /// worker threads, so user sinks never need their own locking.
@@ -31,32 +39,33 @@ private:
   RaceSink &Inner;
 };
 
-DriverOptions driverOptions(const SessionOptions &Opts) {
-  DriverOptions D;
-  D.BatchSize = Opts.BatchSize;
-  D.Parallel = Opts.Parallel;
-  D.SampleFootprint = Opts.SampleFootprint;
-  D.MaxStoredRaces = Opts.MaxStoredRaces;
-  D.OnBatchPublish = Opts.OnBatchPublish;
-  return D;
-}
-
 } // namespace
 
-Session::Session(SessionOptions Opts)
-    : Opts(Opts), Driver(driverOptions(Opts)) {}
+Session::Session(SessionOptions Opts) : Opts(std::move(Opts)) {}
 
-Analysis &Session::add(AnalysisKind K) { return Driver.add(K); }
+Analysis &Session::addSlot(Slot S) {
+  S.A->setMaxStoredRaces(Opts.MaxStoredRaces);
+  Slots.push_back(std::move(S));
+  return *Slots.back().A;
+}
+
+Analysis &Session::add(AnalysisKind K) {
+  Slot S;
+  if (buildsGraph(K))
+    S.Graph = std::make_unique<EdgeRecorder>();
+  S.A = createAnalysis(K, S.Graph.get());
+  return addSlot(std::move(S));
+}
 
 Analysis &Session::add(std::unique_ptr<Analysis> A) {
-  Analysis &Ref = Driver.add(std::move(A));
-  Ref.setMaxStoredRaces(Opts.MaxStoredRaces);
-  return Ref;
+  Slot S;
+  S.A = std::move(A);
+  return addSlot(std::move(S));
 }
 
 void Session::addSink(RaceSink &S) { Fanout.addSink(S); }
 
-RunReport Session::run(EventSource &Src) {
+void Session::wireSinks() {
   // Wire the fan-out late so sinks added after the analyses still see
   // every report; skip the indirection entirely when no sink is attached.
   // Parallel mode fans analyses out to worker threads, so the shared
@@ -64,28 +73,22 @@ RunReport Session::run(EventSource &Src) {
   RaceSink *Wire = nullptr;
   if (!Fanout.empty()) {
     Wire = &Fanout;
-    if (Opts.Parallel && Driver.size() > 1) {
+    if (Opts.Parallel && Slots.size() > 1) {
       SerializedFanout = std::make_unique<SerializedSink>(Fanout);
       Wire = SerializedFanout.get();
     }
   }
   // A sink the caller attached directly with Analysis::setRaceSink() is
-  // composed with (never clobbered by) the session fan-out. Wired
-  // remembers what this session installed and CallerSinks what the
-  // caller had, so a re-run neither mistakes the session's own wiring
-  // for a caller's nor drops a caller sink folded into a tee.
-  Wired.resize(Driver.size(), nullptr);
-  CallerSinks.resize(Driver.size(), nullptr);
-  for (size_t I = 0; I != Driver.size(); ++I) {
-    Analysis &A = Driver.analysis(I);
-    RaceSink *Own = A.raceSink();
-    if (Wired[I] && Own == Wired[I])
-      Own = CallerSinks[I]; // unchanged since our last wiring
+  // composed with (never clobbered by) the session fan-out.
+  for (Slot &S : Slots) {
+    RaceSink *Own = S.A->raceSink();
+    if (S.Wired && Own == S.Wired)
+      Own = S.CallerSink; // unchanged since our last wiring
     else
-      CallerSinks[I] = Own;
+      S.CallerSink = Own;
     if (!Wire) {
-      A.setRaceSink(Own);
-      Wired[I] = nullptr;
+      S.A->setRaceSink(Own);
+      S.Wired = nullptr;
       continue;
     }
     RaceSink *Install = Wire;
@@ -96,12 +99,148 @@ RunReport Session::run(EventSource &Src) {
       Install = Both.get();
       PerAnalysisTees.push_back(std::move(Both));
     }
-    A.setRaceSink(Install);
-    Wired[I] = Install;
+    S.A->setRaceSink(Install);
+    S.Wired = Install;
   }
+}
+
+size_t Session::fillBatch(EventSource &Src, Event *Buf) {
+  size_t N = 0;
+  while (N < Opts.BatchSize) {
+    size_t Got = Src.read(Buf + N, Opts.BatchSize - N);
+    if (Got == 0)
+      break;
+    N += Got;
+  }
+  for (size_t I = 0; I != N; ++I)
+    Stream.observe(Buf[I]);
+  return N;
+}
+
+void Session::consume(Slot &S, const Event *Batch, size_t N) {
+  auto T0 = Clock::now();
+  S.A->processBatch(Batch, N);
+  S.Seconds += secondsSince(T0);
+  if (Opts.SampleFootprint) {
+    size_t Bytes = S.A->footprintBytes();
+    if (Bytes > S.PeakFootprintBytes)
+      S.PeakFootprintBytes = Bytes;
+  }
+}
+
+double Session::drive(EventSource &Src) {
+  Stream = StreamStats();
+  auto Start = Clock::now();
+  if (Opts.Parallel && Slots.size() > 1)
+    driveParallel(Src);
+  else
+    driveSequential(Src);
+  double Wall = secondsSince(Start);
+  if (Opts.SampleFootprint) {
+    for (Slot &S : Slots) {
+      S.FinalFootprintBytes = S.A->footprintBytes();
+      if (S.FinalFootprintBytes > S.PeakFootprintBytes)
+        S.PeakFootprintBytes = S.FinalFootprintBytes;
+    }
+  }
+  return Wall;
+}
+
+void Session::driveSequential(EventSource &Src) {
+  std::vector<Event> Batch(Opts.BatchSize);
+  for (;;) {
+    size_t N = fillBatch(Src, Batch.data());
+    if (N == 0)
+      break;
+    if (Opts.OnBatchPublish)
+      Opts.OnBatchPublish();
+    for (Slot &S : Slots)
+      consume(S, Batch.data(), N);
+  }
+}
+
+void Session::driveParallel(EventSource &Src) {
+  // Double-buffered batch ring: workers consume the published batch while
+  // this thread decodes the next one into the other buffer.
+  std::vector<Event> Bufs[2];
+  Bufs[0].resize(Opts.BatchSize);
+  Bufs[1].resize(Opts.BatchSize);
+
+  std::mutex M;
+  std::condition_variable WorkReady, BatchDone;
+  const Event *Data = nullptr;
+  size_t Count = 0;
+  uint64_t Generation = 0;
+  size_t Remaining = 0;
+  bool Stop = false;
+
+  auto Worker = [&](Slot &S) {
+    uint64_t Seen = 0;
+    for (;;) {
+      const Event *MyData;
+      size_t MyCount;
+      {
+        std::unique_lock<std::mutex> Lk(M);
+        WorkReady.wait(Lk, [&] { return Stop || Generation != Seen; });
+        if (Stop && Generation == Seen)
+          return;
+        Seen = Generation;
+        MyData = Data;
+        MyCount = Count;
+      }
+      consume(S, MyData, MyCount);
+      {
+        std::lock_guard<std::mutex> Lk(M);
+        if (--Remaining == 0)
+          BatchDone.notify_one();
+      }
+    }
+  };
+
+  std::vector<std::thread> Threads;
+  Threads.reserve(Slots.size());
+  for (Slot &S : Slots)
+    Threads.emplace_back(Worker, std::ref(S));
+
+  size_t Cur = 0;
+  size_t N = fillBatch(Src, Bufs[Cur].data());
+  while (N > 0) {
+    // Quiet point: the workers finished the previous batch (or have not
+    // started), this batch is fully decoded, and the overlap-decode of
+    // the next one has not begun.
+    if (Opts.OnBatchPublish)
+      Opts.OnBatchPublish();
+    {
+      std::lock_guard<std::mutex> Lk(M);
+      Data = Bufs[Cur].data();
+      Count = N;
+      Remaining = Slots.size();
+      ++Generation;
+    }
+    WorkReady.notify_all();
+    // Overlap: decode the next batch while the workers run this one.
+    size_t Next = fillBatch(Src, Bufs[1 - Cur].data());
+    {
+      std::unique_lock<std::mutex> Lk(M);
+      BatchDone.wait(Lk, [&] { return Remaining == 0; });
+    }
+    Cur = 1 - Cur;
+    N = Next;
+  }
+  {
+    std::lock_guard<std::mutex> Lk(M);
+    Stop = true;
+  }
+  WorkReady.notify_all();
+  for (std::thread &T : Threads)
+    T.join();
+}
+
+RunReport Session::run(EventSource &Src) {
+  wireSinks();
 
   // Warn/Strict interpose the lint pass between the source and the
-  // driver. The wrapper always cuts delivery just before the first
+  // engine. The wrapper always cuts delivery just before the first
   // error-severity event (the cores require well-formed streams); Strict
   // additionally marks the run rejected so no analysis result escapes.
   LintOptions LintOpts;
@@ -116,19 +255,18 @@ RunReport Session::run(EventSource &Src) {
     Input = Linted.get();
   }
 
+  RunReport Rep;
   std::vector<Event> Captured;
   if (Opts.Vindicate) {
     // Vindication replays the trace, so it is the one mode that buffers
     // the event stream.
     CapturingEventSource Tee(*Input, Captured);
-    Driver.run(Tee);
+    Rep.WallSeconds = drive(Tee);
   } else {
-    Driver.run(*Input);
+    Rep.WallSeconds = drive(*Input);
   }
+  Rep.Stream = Stream;
 
-  RunReport Rep;
-  Rep.Stream = Driver.streamStats();
-  Rep.WallSeconds = Driver.wallSeconds();
   if (Linted) {
     Lint.finish(); // idempotent; already done on a clean end of stream
     Rep.Validation.Ran = true;
@@ -145,8 +283,7 @@ RunReport Session::run(EventSource &Src) {
   }
 
   Trace CapturedTr(std::move(Captured));
-  for (size_t I = 0; I != Driver.size(); ++I) {
-    const AnalysisDriver::Slot &S = Driver.slot(I);
+  for (const Slot &S : Slots) {
     const Analysis &A = *S.A;
     AnalysisRunResult R;
     R.Name = A.name();

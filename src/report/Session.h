@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The consumer-facing entry point to the whole pipeline: a Session
-/// bundles the streaming engine (EventSource + single-pass
-/// AnalysisDriver), the report layer (RaceSink fan-out), and optional
-/// vindication behind one configure → run() → RunReport shape. The CLIs,
-/// the benches, and downstream users all sit on this; nobody outside the
-/// engine layer assembles a driver and scrapes analysis state by hand.
+/// The consumer-facing entry point to the whole pipeline, and the one path
+/// from an EventSource to a RunReport. A Session runs any number of
+/// registered analyses over ONE shared EventSource in a single pass: it
+/// pulls chunked batches and fans each batch out to every analysis, so an
+/// input streams through the whole Table 1 ladder with one parse and
+/// O(analysis-metadata) memory. Races fan out to RaceSinks; vindication
+/// is optional. In Parallel mode one worker thread per analysis consumes
+/// a double-buffered batch ring while the next batch decodes. The CLIs,
+/// the benches, and downstream users all sit on this.
 ///
 ///   Session S({.MaxStoredRaces = 100});
 ///   S.add(AnalysisKind::STWDC);
@@ -23,7 +26,9 @@
 #ifndef SMARTTRACK_REPORT_SESSION_H
 #define SMARTTRACK_REPORT_SESSION_H
 
-#include "engine/AnalysisDriver.h"
+#include "analysis/AnalysisRegistry.h"
+#include "engine/EventSource.h"
+#include "graph/EdgeRecorder.h"
 #include "lint/Diagnostics.h"
 #include "report/RaceSink.h"
 #include "vindicate/Vindicator.h"
@@ -52,8 +57,7 @@ namespace st {
 /// the rejection point; a Strict report itself carries none.)
 enum class ValidationMode : uint8_t { Off, Warn, Strict };
 
-/// Everything a run can be configured with; the engine knobs mirror
-/// DriverOptions.
+/// Everything a run can be configured with.
 struct SessionOptions {
   /// Events per engine batch (also the footprint sampling period).
   size_t BatchSize = 1 << 14;
@@ -86,9 +90,12 @@ struct SessionOptions {
   /// layer's FrameSink). SIZE_MAX means unlimited; counting sinks are
   /// never affected.
   size_t MaxRaceLines = SIZE_MAX;
-  /// Engine quiet-point hook, forwarded to DriverOptions::OnBatchPublish:
-  /// runs between batches when neither the decoder nor any engine worker
-  /// is active.
+  /// Invoked at the engine's per-batch quiet point: the next batch is
+  /// fully decoded and about to be handed to the analyses, and neither
+  /// the decoder nor any worker thread is running. Decoder-owned state
+  /// that grows during decode (the text parser's name tables) is safe to
+  /// read exactly here — st-analyze refreshes its NDJSON symbol
+  /// snapshots through this.
   std::function<void()> OnBatchPublish;
 };
 
@@ -145,7 +152,7 @@ struct RunReport {
   bool rejected() const { return Validation.Rejected; }
 };
 
-/// Facade over EventSource → AnalysisDriver → sinks. Configure with add()
+/// EventSource → analyses → sinks in one pass. Configure with add()
 /// and addSink(), then run() exactly once per input stream; analyses
 /// accumulate state across runs (streaming semantics), so use a fresh
 /// Session per independent input.
@@ -174,23 +181,53 @@ public:
   /// Src.error() afterwards for truncated/malformed inputs.
   RunReport run(EventSource &Src);
 
-  size_t analysisCount() const { return Driver.size(); }
-  Analysis &analysis(size_t I) { return Driver.analysis(I); }
+  size_t analysisCount() const { return Slots.size(); }
+  Analysis &analysis(size_t I) { return *Slots[I].A; }
 
 private:
+  /// One registered analysis, its per-run measurements, and its sink
+  /// wiring.
+  struct Slot {
+    std::unique_ptr<Analysis> A;
+    /// Constraint-graph recording for the w/G configurations (null
+    /// otherwise); owned here so the graph outlives the analysis.
+    std::unique_ptr<EdgeRecorder> Graph;
+    /// Wall time this analysis spent consuming batches.
+    double Seconds = 0;
+    /// Peak sampled / final footprintBytes() (0 unless SampleFootprint).
+    /// Peak vs. final separates transient spikes from retained metadata.
+    size_t PeakFootprintBytes = 0;
+    size_t FinalFootprintBytes = 0;
+    /// What run() installed as the analysis's sink, and what the caller
+    /// had attached, so a re-run can tell a caller's sink from the
+    /// session's own wiring and never drop it.
+    RaceSink *Wired = nullptr;
+    RaceSink *CallerSink = nullptr;
+  };
+
+  Analysis &addSlot(Slot S);
+  void wireSinks();
+  /// Streams \p Src through every analysis, fills Stream, and returns
+  /// the wall seconds of the pass (decode + all analyses).
+  double drive(EventSource &Src);
+  void driveSequential(EventSource &Src);
+  void driveParallel(EventSource &Src);
+  /// Pulls one full batch (looping over short reads) into \p Buf and
+  /// folds it into Stream.
+  size_t fillBatch(EventSource &Src, Event *Buf);
+  /// Times one batch through \p S and samples its footprint.
+  void consume(Slot &S, const Event *Batch, size_t N);
+
   SessionOptions Opts;
-  AnalysisDriver Driver;
+  std::vector<Slot> Slots;
+  StreamStats Stream;
   TeeSink Fanout;
   /// Mutex-guarded wrapper over Fanout, wired instead of it when the
   /// parallel engine mode could invoke sinks from several workers.
   std::unique_ptr<RaceSink> SerializedFanout;
   /// Per-analysis tees composing a caller-attached sink with the
-  /// session fan-out, plus what run() installed on each analysis and
-  /// what the caller had attached (so re-runs can tell a caller's sink
-  /// from the session's own wiring and never drop it).
+  /// session fan-out.
   std::vector<std::unique_ptr<TeeSink>> PerAnalysisTees;
-  std::vector<RaceSink *> Wired;
-  std::vector<RaceSink *> CallerSinks;
 };
 
 } // namespace st

@@ -195,147 +195,3 @@ bool st::decodeHello(std::string_view Payload, HelloOptions &O,
   }
   return true;
 }
-
-//===----------------------------------------------------------------------===//
-// NDJSON line encoders
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-void jsonKey(std::string &Out, const char *Key) {
-  jsonAppendEscaped(Out, Key);
-  Out += ':';
-}
-
-void jsonUInt(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu",
-                static_cast<unsigned long long>(V));
-  Out += Buf;
-}
-
-void jsonNumber(std::string &Out, double V) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", V);
-  Out += Buf;
-}
-
-// Field order matches st-analyze's --report=json case_stats object.
-void jsonCaseStats(std::string &Out, const CaseStats &S) {
-  auto Field = [&](const char *K, uint64_t V, bool Comma = true) {
-    jsonKey(Out, K);
-    jsonUInt(Out, V);
-    if (Comma)
-      Out += ',';
-  };
-  Out += '{';
-  Field("read_same_epoch", S.ReadSameEpoch);
-  Field("shared_same_epoch", S.SharedSameEpoch);
-  Field("write_same_epoch", S.WriteSameEpoch);
-  Field("read_owned", S.ReadOwned);
-  Field("read_shared_owned", S.ReadSharedOwned);
-  Field("read_exclusive", S.ReadExclusive);
-  Field("read_share", S.ReadShare);
-  Field("read_shared", S.ReadShared);
-  Field("write_owned", S.WriteOwned);
-  Field("write_exclusive", S.WriteExclusive);
-  Field("write_shared", S.WriteShared, false);
-  Out += '}';
-}
-
-} // namespace
-
-std::string st::encodeDiagLine(const LintDiagnostic &D) {
-  std::string Out = "{\"type\":\"diag\",";
-  jsonKey(Out, "code");
-  jsonAppendEscaped(Out, lintCodeId(D.Code));
-  Out += ',';
-  jsonKey(Out, "severity");
-  jsonAppendEscaped(Out, lintSeverityName(D.Severity));
-  if (!D.streamLevel()) {
-    Out += ',';
-    jsonKey(Out, "event");
-    jsonUInt(Out, D.EventIdx);
-  }
-  if (D.Line) {
-    Out += ',';
-    jsonKey(Out, "line");
-    jsonUInt(Out, D.Line);
-  }
-  if (D.Byte) {
-    Out += ',';
-    jsonKey(Out, "byte");
-    jsonUInt(Out, D.Byte);
-  }
-  Out += ',';
-  jsonKey(Out, "message");
-  jsonAppendEscaped(Out, D.Message);
-  Out += "}\n";
-  return Out;
-}
-
-std::string st::encodeSummaryLine(const AnalysisRunResult &A,
-                                  uint64_t Events) {
-  std::string Out = "{\"type\":\"summary\",";
-  jsonKey(Out, "analysis");
-  jsonAppendEscaped(Out, A.Name);
-  Out += ',';
-  jsonKey(Out, "events");
-  jsonUInt(Out, Events);
-  Out += ',';
-  jsonKey(Out, "dynamic_races");
-  jsonUInt(Out, A.DynamicRaces);
-  Out += ',';
-  jsonKey(Out, "static_races");
-  jsonUInt(Out, A.StaticRaces);
-  Out += ',';
-  jsonKey(Out, "seconds");
-  jsonNumber(Out, A.Seconds);
-  if (A.HasCaseStats) {
-    Out += ',';
-    jsonKey(Out, "case_stats");
-    jsonCaseStats(Out, A.Cases);
-  }
-  Out += "}\n";
-  return Out;
-}
-
-std::string st::encodeStreamLine(const RunReport &Rep, uint64_t ServiceNs) {
-  std::string Out = "{\"type\":\"stream\",";
-  jsonKey(Out, "events");
-  jsonUInt(Out, Rep.Stream.Events);
-  Out += ',';
-  jsonKey(Out, "threads");
-  jsonUInt(Out, Rep.Stream.NumThreads);
-  Out += ',';
-  jsonKey(Out, "vars");
-  jsonUInt(Out, Rep.Stream.NumVars);
-  Out += ',';
-  jsonKey(Out, "locks");
-  jsonUInt(Out, Rep.Stream.NumLocks);
-  Out += ',';
-  jsonKey(Out, "total_dynamic_races");
-  jsonUInt(Out, Rep.TotalDynamicRaces);
-  Out += ',';
-  jsonKey(Out, "wall_seconds");
-  jsonNumber(Out, Rep.WallSeconds);
-  if (ServiceNs) {
-    Out += ',';
-    jsonKey(Out, "service_ns");
-    jsonUInt(Out, ServiceNs);
-  }
-  Out += "}\n";
-  return Out;
-}
-
-std::string st::encodeErrorLine(std::string_view Code,
-                                std::string_view Message) {
-  std::string Out = "{\"type\":\"error\",";
-  jsonKey(Out, "code");
-  jsonAppendEscaped(Out, Code);
-  Out += ',';
-  jsonKey(Out, "message");
-  jsonAppendEscaped(Out, Message);
-  Out += "}\n";
-  return Out;
-}

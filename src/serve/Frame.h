@@ -21,17 +21,16 @@
 /// outcome (protocol violation, decode failure, budget eviction, strict
 /// validation rejection) is announced with an ERROR frame before the
 /// connection closes — never a silent close. RACE/DIAG/SUMMARY/ERROR
-/// payloads are single NDJSON lines (newline included), so a client can
-/// write them through verbatim and get exactly the st-analyze
-/// --report=ndjson surface. docs/serving.md is the byte-level grammar.
+/// payloads are single NDJSON lines (newline included), encoded by
+/// report/ReportJson and NdjsonSink, so a client can write them through
+/// verbatim and get exactly st-analyze's --format=ndjson --stats output.
+/// docs/serving.md is the byte-level grammar.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMARTTRACK_SERVE_FRAME_H
 #define SMARTTRACK_SERVE_FRAME_H
 
-#include "lint/Diagnostics.h"
-#include "report/Session.h"
 #include "support/Bytes.h"
 
 #include <cstdint>
@@ -163,33 +162,6 @@ std::string encodeHello(const HelloOptions &O);
 /// judge the option values — the server validates names/caps itself.
 bool decodeHello(std::string_view Payload, HelloOptions &O,
                  std::string *Err);
-
-/// NDJSON line encoders for the server → client frames. Each returns one
-/// newline-terminated JSON object, byte-compatible with st-analyze
-/// --report=ndjson where the two surfaces overlap (summary/stream lines),
-/// so clients and tests can compare wire output against a direct
-/// Session::run() verbatim.
-
-/// {"type":"diag","code":"STL001","severity":"error",...}\n
-std::string encodeDiagLine(const LintDiagnostic &D);
-
-/// {"type":"summary","analysis":...,"events":...,...}\n — matches
-/// st-analyze's NDJSON summary line, case_stats included whenever the
-/// analysis tracks them.
-std::string encodeSummaryLine(const AnalysisRunResult &A, uint64_t Events);
-
-/// {"type":"stream","events":...,...}\n — the final stream line. A
-/// nonzero \p ServiceNs appends "service_ns": the server-side duration
-/// from first-EVENTS-frame receipt to this line being encoded, which is
-/// what lets an open-loop client (st-loadgen) split queueing delay from
-/// service time. Zero omits the field, so direct Session consumers that
-/// never served a wire upload keep their byte-identical line.
-std::string encodeStreamLine(const RunReport &Rep, uint64_t ServiceNs = 0);
-
-/// {"type":"error","code":...,"message":...}\n. Stable codes:
-/// "bad-hello", "bad-version", "protocol", "decode", "rejected",
-/// "evicted-memory", "evicted-time", "internal".
-std::string encodeErrorLine(std::string_view Code, std::string_view Message);
 
 } // namespace st
 

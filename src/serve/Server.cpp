@@ -9,6 +9,7 @@
 #include "analysis/AnalysisRegistry.h"
 #include "engine/FrameEventSource.h"
 #include "report/FrameSink.h"
+#include "report/ReportJson.h"
 #include "serve/Socket.h"
 
 #include <cerrno>

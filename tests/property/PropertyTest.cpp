@@ -17,9 +17,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AnalysisRegistry.h"
-#include "engine/AnalysisDriver.h"
 #include "graph/EdgeRecorder.h"
 #include "oracle/PredictableRace.h"
+#include "report/Session.h"
 #include "trace/Stb.h"
 #include "trace/TraceText.h"
 #include "workload/RandomTrace.h"
@@ -241,14 +241,12 @@ TEST_P(RandomTraceProperty, FormatRoundTripPreservesEveryAnalysis) {
   // Stream all three representations through the full ladder in single
   // passes and compare against per-analysis materialized runs.
   auto RunAll = [&](EventSource &Src) {
-    AnalysisDriver Driver;
+    Session S;
     for (AnalysisKind K : allAnalysisKinds())
-      Driver.add(K);
-    Driver.run(Src);
+      S.add(K);
     std::vector<std::pair<uint64_t, unsigned>> Counts;
-    for (size_t I = 0; I != Driver.size(); ++I)
-      Counts.emplace_back(Driver.analysis(I).dynamicRaces(),
-                          Driver.analysis(I).staticRaces());
+    for (const AnalysisRunResult &A : S.run(Src).Analyses)
+      Counts.emplace_back(A.DynamicRaces, A.StaticRaces);
     return Counts;
   };
 

@@ -5,8 +5,9 @@
 // case statistics must equal a direct per-analysis run (the numbers the
 // pre-redesign driver/CLI reported and LadderGoldenTest freezes), for all
 // 14 registry analyses in one single-pass session. Plus the facade's own
-// contract: sink fan-out, bounded stores, vindication, and the
-// zero-analysis drain.
+// contract: sink fan-out, bounded stores, vindication, the zero-analysis
+// drain and the validation modes. The batch loop itself is covered by
+// SessionEngineTest.
 //
 //===----------------------------------------------------------------------===//
 

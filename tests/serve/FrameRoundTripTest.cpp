@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "report/ReportJson.h"
 #include "serve/Frame.h"
 #include "support/Bytes.h"
 

@@ -16,6 +16,7 @@
 #include "analysis/AnalysisRegistry.h"
 #include "engine/EventSource.h"
 #include "report/RaceSink.h"
+#include "report/ReportJson.h"
 #include "report/Session.h"
 #include "serve/Server.h"
 #include "trace/Stb.h"

@@ -9,38 +9,19 @@
 
 #include "analysis/AnalysisRegistry.h"
 
+#include "CliTestUtil.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
-#include <sys/wait.h>
 
 using namespace st;
+using namespace st::cli_test;
 
 namespace {
-
-struct RunResult {
-  int ExitCode = -1;
-  std::string Output; // stdout + stderr, interleaved
-};
-
-/// Runs \p ShellCommand under `sh -c`, capturing stdout and stderr.
-RunResult runCommand(const std::string &ShellCommand) {
-  RunResult Result;
-  std::string Wrapped = "{ " + ShellCommand + " ; } 2>&1";
-  FILE *Pipe = popen(Wrapped.c_str(), "r");
-  EXPECT_NE(Pipe, nullptr) << "popen failed for: " << Wrapped;
-  if (!Pipe)
-    return Result;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), Pipe)) > 0)
-    Result.Output.append(Buf, N);
-  int Status = pclose(Pipe);
-  Result.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  return Result;
-}
 
 // Paths are single-quoted so build/source trees with spaces survive the
 // `sh -c` word splitting in runCommand.
@@ -439,6 +420,48 @@ TEST(AnalyzeCli, NdjsonParallelEmitsSymbolicNames) {
   EXPECT_EQ(R.Output.find("\"var\":\"x2\""), std::string::npos)
       << "canonical id fallback leaked into parallel ndjson:\n"
       << R.Output;
+}
+
+/// Runs every report format over the trace \p Producer writes to stdout
+/// and compares the concatenated, timing-masked outputs with the golden
+/// file \p Golden under tests/tools/golden. On a mismatch the actual bytes
+/// land in <Golden>.actual in the working directory; copy that over the
+/// golden file only when an output change is intended.
+void expectGoldenReports(const std::string &Producer,
+                         const std::string &Analyses, const char *Golden) {
+  static const char *const Modes[] = {
+      "--format=json", "--format=json --stats --vindicate",
+      "--format=ndjson", "--format=ndjson --stats", "--stats"};
+  std::string Actual;
+  for (const char *Mode : Modes) {
+    RunResult R = runCommand(Producer + " | " + cli() + " " + Analyses +
+                             " " + Mode + " -");
+    Actual += "# " + std::string(Mode) + " (exit " +
+              std::to_string(R.ExitCode) + ")\n" + maskTimings(R.Output);
+  }
+  std::ifstream In(std::string(ST_GOLDEN_DIR) + "/" + Golden,
+                   std::ios::binary);
+  ASSERT_TRUE(In) << "missing golden file " << Golden;
+  std::stringstream Expected;
+  Expected << In.rdbuf();
+  if (Actual != Expected.str()) {
+    std::ofstream(std::string(Golden) + ".actual", std::ios::binary)
+        << Actual;
+    ADD_FAILURE() << "report bytes differ from " << Golden
+                  << "; actual output written to " << Golden << ".actual";
+  }
+}
+
+TEST(AnalyzeCli, ReportFormatsMatchGoldenBytesOnSampleTrace) {
+  expectGoldenReports("cat " + trace("racy.trace"), "--all",
+                      "analyze_racy.txt");
+}
+
+TEST(AnalyzeCli, ReportFormatsMatchGoldenBytesOnGeneratedTrace) {
+  expectGoldenReports(cli() + " --gen threads=3,vars=24,locks=2,events=80,"
+                              "seed=3",
+                      "--analysis=FT2 --analysis=FTO-WDC --analysis=ST-WDC",
+                      "analyze_gen.txt");
 }
 
 } // namespace

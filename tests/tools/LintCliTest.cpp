@@ -8,35 +8,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliTestUtil.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
-#include <sys/wait.h>
+
+using namespace st::cli_test;
 
 namespace {
-
-struct RunResult {
-  int ExitCode = -1;
-  std::string Output; // stdout + stderr, interleaved
-};
-
-/// Runs \p ShellCommand under `sh -c`, capturing stdout and stderr.
-RunResult runCommand(const std::string &ShellCommand) {
-  RunResult Result;
-  std::string Wrapped = "{ " + ShellCommand + " ; } 2>&1";
-  FILE *Pipe = popen(Wrapped.c_str(), "r");
-  EXPECT_NE(Pipe, nullptr) << "popen failed for: " << Wrapped;
-  if (!Pipe)
-    return Result;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), Pipe)) > 0)
-    Result.Output.append(Buf, N);
-  int Status = pclose(Pipe);
-  Result.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  return Result;
-}
 
 // Paths are single-quoted so build/source trees with spaces survive the
 // `sh -c` word splitting in runCommand.

@@ -11,37 +11,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliTestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <csignal>
-#include <cstdio>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
 
+using namespace st::cli_test;
+
 namespace {
-
-struct RunResult {
-  int ExitCode = -1;
-  std::string Output; // stdout + stderr, interleaved
-};
-
-/// Runs \p ShellCommand under `sh -c`, capturing stdout and stderr.
-RunResult runCommand(const std::string &ShellCommand) {
-  RunResult Result;
-  std::string Wrapped = "{ " + ShellCommand + " ; } 2>&1";
-  FILE *Pipe = popen(Wrapped.c_str(), "r");
-  EXPECT_NE(Pipe, nullptr) << "popen failed for: " << Wrapped;
-  if (!Pipe)
-    return Result;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), Pipe)) > 0)
-    Result.Output.append(Buf, N);
-  int Status = pclose(Pipe);
-  Result.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  return Result;
-}
 
 std::string serve() { return std::string("'") + ST_SERVE_PATH + "'"; }
 std::string analyze() { return std::string("'") + ST_ANALYZE_PATH + "'"; }
@@ -72,6 +53,35 @@ TEST(ServeCli, RacyTraceStreamsRacesAndExitsTwo) {
       << R.Output;
   EXPECT_NE(R.Output.find("\"total_dynamic_races\":"), std::string::npos)
       << R.Output;
+}
+
+/// Masks what legitimately differs between a served and a local run: the
+/// timing values are blanked and the server-only "service_ns" field is
+/// dropped.
+std::string maskServed(std::string S) {
+  const std::string ServiceNs = ",\"service_ns\":";
+  for (size_t P; (P = S.find(ServiceNs)) != std::string::npos;)
+    S.erase(P, S.find_first_of(",}", P + 1) - P);
+  return maskTimings(S);
+}
+
+TEST(ServeCli, ServedReportEqualsLocalNdjsonReport) {
+  // One serializer for both surfaces: the lines a served run relays are
+  // the bytes a local NDJSON run prints, case_stats included.
+  const std::string Inputs[] = {
+      "cat " + trace("racy.trace"),
+      analyze() + " --gen threads=4,vars=24,locks=3,events=2000,seed=17"};
+  for (const std::string &Input : Inputs) {
+    RunResult Local = runCommand(Input + " | " + analyze() +
+                                 " --all --format=ndjson --stats -");
+    RunResult Served =
+        runCommand(Input + " | ( " + servedRun("--all -") + " )");
+    EXPECT_EQ(Served.ExitCode, Local.ExitCode) << Input;
+    EXPECT_NE(Local.Output.find("\"case_stats\":{"), std::string::npos)
+        << Local.Output;
+    EXPECT_EQ(maskServed(Served.Output), maskServed(Local.Output))
+        << Input;
+  }
 }
 
 TEST(ServeCli, RaceFreeTraceExitsZero) {

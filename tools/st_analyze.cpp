@@ -27,6 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "report/ReportJson.h"
 #include "report/Session.h"
 #include "serve/Frame.h"
 #include "serve/Socket.h"
@@ -535,269 +536,92 @@ void printCaseStats(const AnalysisRunResult &A) {
 // JSON / NDJSON reports
 //===----------------------------------------------------------------------===//
 
-void jsonEscape(const std::string &S, std::string &Out) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
-void jsonKey(std::string &Out, const char *Key) {
-  jsonEscape(Key, Out);
-  Out += ':';
-}
-
-void jsonNumber(std::string &Out, double V) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", V);
-  Out += Buf;
-}
-
-/// Integer counters (event indices, race counts) must not round-trip
-/// through double: indices past 2^53-ish would silently corrupt.
-void jsonUInt(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu",
-                static_cast<unsigned long long>(V));
-  Out += Buf;
-}
-
-void jsonCaseStats(std::string &Out, const CaseStats &S) {
-  auto Field = [&](const char *K, uint64_t V, bool Comma = true) {
-    jsonKey(Out, K);
-    jsonUInt(Out, V);
-    if (Comma)
-      Out += ',';
-  };
-  Out += '{';
-  Field("read_same_epoch", S.ReadSameEpoch);
-  Field("shared_same_epoch", S.SharedSameEpoch);
-  Field("write_same_epoch", S.WriteSameEpoch);
-  Field("read_owned", S.ReadOwned);
-  Field("read_shared_owned", S.ReadSharedOwned);
-  Field("read_exclusive", S.ReadExclusive);
-  Field("read_share", S.ReadShare);
-  Field("read_shared", S.ReadShared);
-  Field("write_owned", S.WriteOwned);
-  Field("write_exclusive", S.WriteExclusive);
-  Field("write_shared", S.WriteShared, false);
-  Out += '}';
-}
-
 std::string jsonReport(const RunReport &Rep, const Options &Opts,
                        TraceFormat Fmt, const SymbolTables &Syms) {
   const StreamStats &St = Rep.Stream;
-  std::string Out = "{";
-  jsonKey(Out, "input");
-  Out += '{';
-  jsonKey(Out, "format");
+  std::string Out = "{\"input\":{\"format\":";
   Out += Fmt == TraceFormat::Stb ? "\"stb\"" : "\"text\"";
-  Out += ',';
-  jsonKey(Out, "events");
-  jsonUInt(Out, St.Events);
-  Out += ',';
-  jsonKey(Out, "threads");
-  jsonUInt(Out, St.NumThreads);
-  Out += ',';
-  jsonKey(Out, "vars");
-  jsonUInt(Out, St.NumVars);
-  Out += ',';
-  jsonKey(Out, "locks");
-  jsonUInt(Out, St.NumLocks);
-  Out += ',';
-  jsonKey(Out, "volatiles");
-  jsonUInt(Out, St.NumVolatiles);
-  Out += "},";
-
-  jsonKey(Out, "analyses");
-  Out += '[';
+  Out += ",\"events\":";
+  jsonAppendUInt(Out, St.Events);
+  Out += ",\"threads\":";
+  jsonAppendUInt(Out, St.NumThreads);
+  Out += ",\"vars\":";
+  jsonAppendUInt(Out, St.NumVars);
+  Out += ",\"locks\":";
+  jsonAppendUInt(Out, St.NumLocks);
+  Out += ",\"volatiles\":";
+  jsonAppendUInt(Out, St.NumVolatiles);
+  Out += "},\"analyses\":[";
   for (size_t I = 0; I != Rep.Analyses.size(); ++I) {
     if (I)
       Out += ',';
     const AnalysisRunResult &A = Rep.Analyses[I];
-    Out += '{';
-    jsonKey(Out, "name");
-    jsonEscape(A.Name, Out);
-    Out += ',';
-    jsonKey(Out, "dynamic_races");
-    jsonUInt(Out, A.DynamicRaces);
-    Out += ',';
-    jsonKey(Out, "static_races");
-    jsonUInt(Out, A.StaticRaces);
-    Out += ',';
-    jsonKey(Out, "seconds");
-    jsonNumber(Out, A.Seconds);
+    Out += "{\"name\":";
+    jsonAppendEscaped(Out, A.Name);
+    Out += ",\"dynamic_races\":";
+    jsonAppendUInt(Out, A.DynamicRaces);
+    Out += ",\"static_races\":";
+    jsonAppendUInt(Out, A.StaticRaces);
+    Out += ",\"seconds\":";
+    jsonAppendNumber(Out, A.Seconds);
     if (Opts.Stats && A.HasCaseStats) {
-      Out += ',';
-      jsonKey(Out, "case_stats");
-      jsonCaseStats(Out, A.Cases);
+      Out += ",\"case_stats\":";
+      jsonAppendCaseStats(Out, A.Cases);
     }
     if (!Opts.Quiet) {
-      Out += ',';
-      jsonKey(Out, "races");
-      Out += '[';
-      size_t RI = 0;
-      for (const RaceReport &R : A.Races) {
+      Out += ",\"races\":[";
+      for (size_t RI = 0; RI != A.Races.size(); ++RI) {
+        const RaceReport &R = A.Races[RI];
         if (RI)
           Out += ',';
-        Out += '{';
-        jsonKey(Out, "event");
-        jsonUInt(Out, R.EventIdx);
-        Out += ',';
-        jsonKey(Out, "kind");
-        Out += R.IsWrite ? "\"write\"" : "\"read\"";
-        Out += ',';
-        jsonKey(Out, "var");
-        jsonEscape(symbolOrId(Syms.Vars, R.Var, 'x'), Out);
-        Out += ',';
-        jsonKey(Out, "thread");
-        jsonEscape(symbolOrId(Syms.Threads, R.Tid, 'T'), Out);
-        Out += ',';
-        jsonKey(Out, "site");
-        jsonEscape(raceSiteString(R), Out);
+        Out += "{\"event\":";
+        jsonAppendUInt(Out, R.EventIdx);
+        Out += R.IsWrite ? ",\"kind\":\"write\""
+                         : ",\"kind\":\"read\"";
+        Out += ",\"var\":";
+        jsonAppendEscaped(Out, symbolOrId(Syms.Vars, R.Var, 'x'));
+        Out += ",\"thread\":";
+        jsonAppendEscaped(Out, symbolOrId(Syms.Threads, R.Tid, 'T'));
+        Out += ",\"site\":";
+        jsonAppendEscaped(Out, raceSiteString(R));
         if (R.Provenance == SiteProvenance::Explicit) {
-          Out += ',';
-          jsonKey(Out, "site_line");
-          jsonUInt(Out, R.Site);
+          Out += ",\"site_line\":";
+          jsonAppendUInt(Out, R.Site);
         }
         if (!R.Prior.isNone()) {
-          Out += ',';
-          jsonKey(Out, "prior_thread");
-          jsonEscape(symbolOrId(Syms.Threads, R.Prior.tid(), 'T'), Out);
-          Out += ',';
-          jsonKey(Out, "prior_clock");
-          jsonUInt(Out, R.Prior.clock());
+          Out += ",\"prior_thread\":";
+          jsonAppendEscaped(Out,
+                            symbolOrId(Syms.Threads, R.Prior.tid(), 'T'));
+          Out += ",\"prior_clock\":";
+          jsonAppendUInt(Out, R.Prior.clock());
         }
         if (RI < A.Vindications.size()) {
           const VindicationResult &V = A.Vindications[RI];
-          Out += ',';
-          jsonKey(Out, "vindicated");
-          Out += V.Vindicated ? "true" : "false";
           if (V.Vindicated) {
-            Out += ',';
-            jsonKey(Out, "witness_events");
-            jsonUInt(Out, V.Witness.Prefix.size());
+            Out += ",\"vindicated\":true,\"witness_events\":";
+            jsonAppendUInt(Out, V.Witness.Prefix.size());
           } else {
-            Out += ',';
-            jsonKey(Out, "failure_reason");
-            jsonEscape(V.FailureReason, Out);
+            Out += ",\"vindicated\":false,\"failure_reason\":";
+            jsonAppendEscaped(Out, V.FailureReason);
           }
         }
         Out += '}';
-        ++RI;
       }
       Out += ']';
     }
     Out += '}';
   }
-  Out += "],";
-  jsonKey(Out, "total_dynamic_races");
-  jsonUInt(Out, Rep.TotalDynamicRaces);
-  Out += ',';
-  jsonKey(Out, "wall_seconds");
-  jsonNumber(Out, Rep.WallSeconds);
+  Out += "],\"total_dynamic_races\":";
+  jsonAppendUInt(Out, Rep.TotalDynamicRaces);
+  Out += ",\"wall_seconds\":";
+  jsonAppendNumber(Out, Rep.WallSeconds);
   Out += "}\n";
   return Out;
-}
-
-/// After an NDJSON run, emits one "summary" line per analysis plus a final
-/// "stream" line — constant memory regardless of how many race lines the
-/// sink already streamed.
-void printNdjsonSummaries(const RunReport &Rep, const Options &Opts) {
-  std::string Out;
-  for (const AnalysisRunResult &A : Rep.Analyses) {
-    Out.clear();
-    Out += "{\"type\":\"summary\",";
-    jsonKey(Out, "analysis");
-    jsonEscape(A.Name, Out);
-    Out += ',';
-    jsonKey(Out, "events");
-    jsonUInt(Out, Rep.Stream.Events);
-    Out += ',';
-    jsonKey(Out, "dynamic_races");
-    jsonUInt(Out, A.DynamicRaces);
-    Out += ',';
-    jsonKey(Out, "static_races");
-    jsonUInt(Out, A.StaticRaces);
-    Out += ',';
-    jsonKey(Out, "seconds");
-    jsonNumber(Out, A.Seconds);
-    if (Opts.Stats && A.HasCaseStats) {
-      Out += ',';
-      jsonKey(Out, "case_stats");
-      jsonCaseStats(Out, A.Cases);
-    }
-    Out += "}\n";
-    std::fwrite(Out.data(), 1, Out.size(), stdout);
-  }
-  Out.clear();
-  Out += "{\"type\":\"stream\",";
-  jsonKey(Out, "events");
-  jsonUInt(Out, Rep.Stream.Events);
-  Out += ',';
-  jsonKey(Out, "threads");
-  jsonUInt(Out, Rep.Stream.NumThreads);
-  Out += ',';
-  jsonKey(Out, "vars");
-  jsonUInt(Out, Rep.Stream.NumVars);
-  Out += ',';
-  jsonKey(Out, "locks");
-  jsonUInt(Out, Rep.Stream.NumLocks);
-  Out += ',';
-  jsonKey(Out, "total_dynamic_races");
-  jsonUInt(Out, Rep.TotalDynamicRaces);
-  Out += ',';
-  jsonKey(Out, "wall_seconds");
-  jsonNumber(Out, Rep.WallSeconds);
-  Out += "}\n";
-  std::fwrite(Out.data(), 1, Out.size(), stdout);
 }
 
 //===----------------------------------------------------------------------===//
 // --connect: client mode against an st-serve server
 //===----------------------------------------------------------------------===//
-
-/// Extracts "total_dynamic_races":N from the server's final stream
-/// summary line; returns false when the line carries no such field.
-bool scanTotalRaces(std::string_view Line, uint64_t &Out) {
-  static constexpr std::string_view Key = "\"total_dynamic_races\":";
-  size_t P = Line.find(Key);
-  if (P == std::string_view::npos)
-    return false;
-  P += Key.size();
-  uint64_t V = 0;
-  bool Any = false;
-  while (P < Line.size() && Line[P] >= '0' && Line[P] <= '9') {
-    V = V * 10 + static_cast<uint64_t>(Line[P] - '0');
-    ++P;
-    Any = true;
-  }
-  if (Any)
-    Out = V;
-  return Any;
-}
 
 /// Uploads the input to an st-serve server and relays its report frames.
 /// A dedicated reader thread drains server frames for the whole upload —
@@ -857,7 +681,7 @@ int runConnect(const Options &Opts) {
       case FrameType::Summary: {
         std::fwrite(F.Payload.data(), 1, F.Payload.size(), stdout);
         uint64_t Total = 0;
-        if (scanTotalRaces(F.Payload, Total))
+        if (jsonScanUInt(F.Payload, "\"total_dynamic_races\":", Total))
           TotalRaces = Total;
         break;
       }
@@ -1021,9 +845,16 @@ int main(int Argc, char **Argv) {
     std::fwrite(Report.data(), 1, Report.size(), stdout);
     break;
   }
-  case ReportFormat::Ndjson:
-    printNdjsonSummaries(Rep, Opts);
+  case ReportFormat::Ndjson: {
+    // One "summary" line per analysis plus the final "stream" line:
+    // constant memory however many race lines the sink already streamed.
+    std::string Lines;
+    for (const AnalysisRunResult &A : Rep.Analyses)
+      Lines += encodeSummaryLine(A, Rep.Stream.Events, Opts.Stats);
+    Lines += encodeStreamLine(Rep);
+    std::fwrite(Lines.data(), 1, Lines.size(), stdout);
     break;
+  }
   case ReportFormat::Text:
     for (const AnalysisRunResult &A : Rep.Analyses) {
       std::printf("%s over %llu events (%u threads, %u vars, %u locks): "

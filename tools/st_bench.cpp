@@ -30,6 +30,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "report/Session.h"
+#include "support/Json.h"
 #include "workload/Workload.h"
 
 #include <algorithm>
@@ -412,62 +413,41 @@ CellResult measureCell(const WorkloadProfile &P, AnalysisKind Kind,
 // gate refuses to diff across schema versions.
 constexpr unsigned SchemaVersion = 2;
 
-void jsonNumber(std::string &Out, double V) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", V);
-  Out += Buf;
-}
-
-void jsonUInt(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu",
-                static_cast<unsigned long long>(V));
-  Out += Buf;
-}
-
-/// Workload names and analysis names are identifier-shaped; quoting is
-/// still applied, escaping is unnecessary by construction.
-void jsonString(std::string &Out, const char *S) {
-  Out += '"';
-  Out += S;
-  Out += '"';
-}
-
 std::string jsonReport(const Options &Opts,
                        const std::vector<WorkloadResult> &Workloads,
                        const char *ReferenceName) {
   std::string Out = "{\n";
   Out += "  \"schema\": \"st-bench/v2\",\n  \"schema_version\": ";
-  jsonUInt(Out, SchemaVersion);
+  jsonAppendUInt(Out, SchemaVersion);
   Out += ",\n  \"suite\": ";
-  jsonString(Out, Opts.Suite->Name);
+  jsonAppendEscaped(Out, Opts.Suite->Name);
   Out += ",\n  \"config\": {\"events\": ";
-  jsonUInt(Out, Opts.Events);
+  jsonAppendUInt(Out, Opts.Events);
   Out += ", \"warmup\": ";
-  jsonUInt(Out, Opts.Warmup);
+  jsonAppendUInt(Out, Opts.Warmup);
   Out += ", \"repeats\": ";
-  jsonUInt(Out, Opts.Repeats);
+  jsonAppendUInt(Out, Opts.Repeats);
   Out += ", \"batch\": ";
-  jsonUInt(Out, Opts.BatchSize);
+  jsonAppendUInt(Out, Opts.BatchSize);
   Out += ", \"seed\": ";
-  jsonUInt(Out, Opts.Seed);
+  jsonAppendUInt(Out, Opts.Seed);
   // Host provenance: comparison tooling can tell a starved machine from
   // a real regression.
   Out += ", \"hardware_concurrency\": ";
-  jsonUInt(Out, std::thread::hardware_concurrency());
+  jsonAppendUInt(Out, std::thread::hardware_concurrency());
   Out += ", \"reference\": ";
-  jsonString(Out, ReferenceName ? ReferenceName : "");
+  jsonAppendEscaped(Out, ReferenceName ? ReferenceName : "");
   Out += "},\n  \"workloads\": [\n";
   for (size_t W = 0; W != Workloads.size(); ++W) {
     const WorkloadResult &WR = Workloads[W];
     Out += "    {\"name\": ";
-    jsonString(Out, WR.Profile->Name);
+    jsonAppendEscaped(Out, WR.Profile->Name);
     Out += ", \"threads\": ";
-    jsonUInt(Out, WR.Profile->Threads);
+    jsonAppendUInt(Out, WR.Profile->Threads);
     Out += ", \"events\": ";
-    jsonUInt(Out, WR.Events);
+    jsonAppendUInt(Out, WR.Events);
     Out += ", \"drain_seconds\": ";
-    jsonNumber(Out, WR.DrainSeconds);
+    jsonAppendNumber(Out, WR.DrainSeconds);
     Out += W + 1 != Workloads.size() ? "},\n" : "}\n";
   }
   Out += "  ],\n  \"results\": [\n";
@@ -484,45 +464,45 @@ std::string jsonReport(const Options &Opts,
         Ref = &C;
     for (const CellResult &C : WR.Cells) {
       Out += "    {\"workload\": ";
-      jsonString(Out, C.Workload.c_str());
+      jsonAppendEscaped(Out, C.Workload);
       Out += ", \"analysis\": ";
-      jsonString(Out, analysisKindName(C.Kind));
+      jsonAppendEscaped(Out, analysisKindName(C.Kind));
       Out += ", \"events\": ";
-      jsonUInt(Out, C.Events);
+      jsonAppendUInt(Out, C.Events);
       // Per-cell copy of the host's core count: comparison tooling reads
       // cells in isolation, and a cell's numbers are only meaningful
       // against the hardware they ran on.
       Out += ", \"hardware_concurrency\": ";
-      jsonUInt(Out, std::thread::hardware_concurrency());
+      jsonAppendUInt(Out, std::thread::hardware_concurrency());
       Out += ",\n     \"seconds\": [";
       for (size_t I = 0; I != C.Seconds.size(); ++I) {
         if (I)
           Out += ", ";
-        jsonNumber(Out, C.Seconds[I]);
+        jsonAppendNumber(Out, C.Seconds[I]);
       }
       Out += "], \"seconds_median\": ";
-      jsonNumber(Out, C.MedianSeconds);
+      jsonAppendNumber(Out, C.MedianSeconds);
       Out += ",\n     \"ns_per_event\": ";
-      jsonNumber(Out, C.nsPerEvent());
+      jsonAppendNumber(Out, C.nsPerEvent());
       Out += ", \"events_per_sec\": ";
-      jsonNumber(Out, C.eventsPerSec());
+      jsonAppendNumber(Out, C.eventsPerSec());
       if (Ref && Ref->MedianSeconds > 0) {
         Out += ", \"relative_cost\": ";
-        jsonNumber(Out, C.MedianSeconds / Ref->MedianSeconds);
+        jsonAppendNumber(Out, C.MedianSeconds / Ref->MedianSeconds);
       }
       if (WR.DrainSeconds > 0) {
         Out += ", \"slowdown_vs_drain\": ";
-        jsonNumber(Out, (WR.DrainSeconds + C.MedianSeconds) /
-                            WR.DrainSeconds);
+        jsonAppendNumber(Out, (WR.DrainSeconds + C.MedianSeconds) /
+                                  WR.DrainSeconds);
       }
       Out += ",\n     \"peak_footprint_bytes\": ";
-      jsonUInt(Out, C.PeakFootprintBytes);
+      jsonAppendUInt(Out, C.PeakFootprintBytes);
       Out += ", \"final_footprint_bytes\": ";
-      jsonUInt(Out, C.FinalFootprintBytes);
+      jsonAppendUInt(Out, C.FinalFootprintBytes);
       Out += ", \"dynamic_races\": ";
-      jsonUInt(Out, C.DynamicRaces);
+      jsonAppendUInt(Out, C.DynamicRaces);
       Out += ", \"static_races\": ";
-      jsonUInt(Out, C.StaticRaces);
+      jsonAppendUInt(Out, C.StaticRaces);
       Out += ++Emitted != Total ? "},\n" : "}\n";
     }
   }

@@ -24,6 +24,7 @@
 
 #include "lint/Lint.h"
 #include "report/RaceSink.h"
+#include "support/Json.h"
 #include "trace/Stb.h"
 #include "trace/TraceText.h"
 
@@ -152,47 +153,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
 // Diagnostic rendering
 //===----------------------------------------------------------------------===//
 
-void jsonEscape(const std::string &S, std::string &Out) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
-void jsonKey(std::string &Out, const char *Key) {
-  jsonEscape(Key, Out);
-  Out += ':';
-}
-
-void jsonUInt(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu",
-                static_cast<unsigned long long>(V));
-  Out += Buf;
-}
-
 /// Streams diagnostics out at report time (O(1) diagnostic memory; the
 /// engine stores nothing) and keeps the counts the summary needs.
 class DiagnosticPrinter {
@@ -250,43 +210,34 @@ public:
 
 private:
   void printNdjson(const LintDiagnostic &D) {
-    std::string Out = "{\"type\":\"diagnostic\",";
-    jsonKey(Out, "code");
-    jsonEscape(lintCodeId(D.Code), Out);
-    Out += ',';
-    jsonKey(Out, "severity");
-    jsonEscape(lintSeverityName(D.Severity), Out);
-    Out += ',';
-    jsonKey(Out, "summary");
-    jsonEscape(lintCodeSummary(D.Code), Out);
+    std::string Out = "{\"type\":\"diagnostic\",\"code\":";
+    jsonAppendEscaped(Out, lintCodeId(D.Code));
+    Out += ",\"severity\":";
+    jsonAppendEscaped(Out, lintSeverityName(D.Severity));
+    Out += ",\"summary\":";
+    jsonAppendEscaped(Out, lintCodeSummary(D.Code));
     if (!D.streamLevel()) {
-      Out += ',';
-      jsonKey(Out, "event");
-      jsonUInt(Out, D.EventIdx);
+      Out += ",\"event\":";
+      jsonAppendUInt(Out, D.EventIdx);
       if (D.Tid != InvalidId) {
-        Out += ',';
-        jsonKey(Out, "tid");
-        jsonUInt(Out, D.Tid);
+        Out += ",\"tid\":";
+        jsonAppendUInt(Out, D.Tid);
         if (ThreadNames && D.Tid < ThreadNames->size()) {
-          Out += ',';
-          jsonKey(Out, "thread");
-          jsonEscape((*ThreadNames)[D.Tid], Out);
+          Out += ",\"thread\":";
+          jsonAppendEscaped(Out, (*ThreadNames)[D.Tid]);
         }
       }
       if (D.Line) {
-        Out += ',';
-        jsonKey(Out, "line");
-        jsonUInt(Out, D.Line);
+        Out += ",\"line\":";
+        jsonAppendUInt(Out, D.Line);
       }
       if (D.Byte) {
-        Out += ',';
-        jsonKey(Out, "byte");
-        jsonUInt(Out, D.Byte);
+        Out += ",\"byte\":";
+        jsonAppendUInt(Out, D.Byte);
       }
     }
-    Out += ',';
-    jsonKey(Out, "message");
-    jsonEscape(D.Message, Out);
+    Out += ",\"message\":";
+    jsonAppendEscaped(Out, D.Message);
     Out += "}\n";
     std::fwrite(Out.data(), 1, Out.size(), stdout);
   }
@@ -301,21 +252,16 @@ private:
 void printSummary(const Options &Opts, const char *Label,
                   const LintEngine &Eng, uint64_t Suppressed) {
   if (Opts.Format == OutputFormat::Ndjson) {
-    std::string Out = "{\"type\":\"summary\",";
-    jsonKey(Out, "events");
-    jsonUInt(Out, Eng.eventsProcessed());
-    Out += ',';
-    jsonKey(Out, "errors");
-    jsonUInt(Out, Eng.errorCount());
-    Out += ',';
-    jsonKey(Out, "warnings");
-    jsonUInt(Out, Eng.warningCount());
-    Out += ',';
-    jsonKey(Out, "notes");
-    jsonUInt(Out, Eng.noteCount());
-    Out += ',';
-    jsonKey(Out, "suppressed");
-    jsonUInt(Out, Suppressed);
+    std::string Out = "{\"type\":\"summary\",\"events\":";
+    jsonAppendUInt(Out, Eng.eventsProcessed());
+    Out += ",\"errors\":";
+    jsonAppendUInt(Out, Eng.errorCount());
+    Out += ",\"warnings\":";
+    jsonAppendUInt(Out, Eng.warningCount());
+    Out += ",\"notes\":";
+    jsonAppendUInt(Out, Eng.noteCount());
+    Out += ",\"suppressed\":";
+    jsonAppendUInt(Out, Suppressed);
     Out += "}\n";
     std::fwrite(Out.data(), 1, Out.size(), stdout);
     return;

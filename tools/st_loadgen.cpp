@@ -30,6 +30,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "loadgen/Loadgen.h"
+#include "support/Json.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -201,44 +202,23 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
 // JSON report (st-bench/v2 envelope, "latency" cells)
 //===----------------------------------------------------------------------===//
 
-void jsonNumber(std::string &Out, double V) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", V);
-  Out += Buf;
-}
-
-void jsonUInt(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu",
-                static_cast<unsigned long long>(V));
-  Out += Buf;
-}
-
-/// Workload/analysis names are identifier-shaped; quoting is applied,
-/// escaping is unnecessary by construction (same contract as st-bench).
-void jsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  Out += S;
-  Out += '"';
-}
-
 void jsonHistogram(std::string &Out, const LatencyHistogram &H) {
   Out += "{\"count\": ";
-  jsonUInt(Out, H.count());
+  jsonAppendUInt(Out, H.count());
   Out += ", \"min\": ";
-  jsonUInt(Out, H.min());
+  jsonAppendUInt(Out, H.min());
   Out += ", \"mean\": ";
-  jsonNumber(Out, H.mean());
+  jsonAppendNumber(Out, H.mean());
   Out += ", \"p50\": ";
-  jsonUInt(Out, H.percentile(0.50));
+  jsonAppendUInt(Out, H.percentile(0.50));
   Out += ", \"p90\": ";
-  jsonUInt(Out, H.percentile(0.90));
+  jsonAppendUInt(Out, H.percentile(0.90));
   Out += ", \"p99\": ";
-  jsonUInt(Out, H.percentile(0.99));
+  jsonAppendUInt(Out, H.percentile(0.99));
   Out += ", \"p999\": ";
-  jsonUInt(Out, H.percentile(0.999));
+  jsonAppendUInt(Out, H.percentile(0.999));
   Out += ", \"max\": ";
-  jsonUInt(Out, H.max());
+  jsonAppendUInt(Out, H.max());
   Out += "}";
 }
 
@@ -260,64 +240,65 @@ std::string jsonReport(const Options &Opts, const LoadgenReport &R) {
   Out += "  \"schema\": \"st-bench/v2\",\n  \"schema_version\": 2,\n";
   Out += "  \"suite\": \"loadgen\",\n";
   Out += "  \"config\": {\"connect\": ";
-  jsonString(Out, Opts.Gen.Connect);
+  jsonAppendEscaped(Out, Opts.Gen.Connect);
   Out += ", \"events_per_sec\": ";
-  jsonNumber(Out, Opts.Gen.EventsPerSec);
+  jsonAppendNumber(Out, Opts.Gen.EventsPerSec);
   Out += ", \"connections\": ";
-  jsonUInt(Out, Opts.Gen.Connections);
+  jsonAppendUInt(Out, Opts.Gen.Connections);
   Out += ", \"duration\": ";
-  jsonNumber(Out, Opts.Gen.DurationSeconds);
+  jsonAppendNumber(Out, Opts.Gen.DurationSeconds);
   Out += ", \"seed\": ";
-  jsonUInt(Out, Opts.Gen.Seed);
+  jsonAppendUInt(Out, Opts.Gen.Seed);
   Out += ", \"events_per_request\": ";
-  jsonUInt(Out, Opts.Gen.EventsPerRequest);
+  jsonAppendUInt(Out, Opts.Gen.EventsPerRequest);
   Out += ", \"dist\": ";
-  jsonString(Out, Opts.Gen.Dist == EventCountDist::Fixed     ? "fixed"
-             : Opts.Gen.Dist == EventCountDist::Uniform ? "uniform"
-                                                             : "exp");
+  jsonAppendEscaped(Out, Opts.Gen.Dist == EventCountDist::Fixed ? "fixed"
+                         : Opts.Gen.Dist == EventCountDist::Uniform
+                             ? "uniform"
+                             : "exp");
   // Host provenance: the tail gates in bench_compare.py read this to
   // self-skip on starved runners. The client and server share the host
   // in CI; a cross-host run records the client side, which is the
   // generator's own capability.
   Out += ", \"hardware_concurrency\": ";
-  jsonUInt(Out, Cores);
+  jsonAppendUInt(Out, Cores);
   Out += "},\n  \"results\": [\n";
   Out += "    {\"workload\": ";
-  jsonString(Out, Opts.Gen.Workload);
+  jsonAppendEscaped(Out, Opts.Gen.Workload);
   Out += ", \"analysis\": ";
-  jsonString(Out, analysisLabel(Opts));
+  jsonAppendEscaped(Out, analysisLabel(Opts));
   Out += ", \"kind\": \"latency\"";
   Out += ",\n     \"connections\": ";
-  jsonUInt(Out, Opts.Gen.Connections);
+  jsonAppendUInt(Out, Opts.Gen.Connections);
   Out += ", \"requests\": ";
-  jsonUInt(Out, R.Requests);
+  jsonAppendUInt(Out, R.Requests);
   Out += ", \"completed\": ";
-  jsonUInt(Out, R.Completed);
+  jsonAppendUInt(Out, R.Completed);
   Out += ", \"errors\": ";
-  jsonUInt(Out, R.Errors);
+  jsonAppendUInt(Out, R.Errors);
   Out += ", \"late_sends\": ";
-  jsonUInt(Out, R.LateSends);
+  jsonAppendUInt(Out, R.LateSends);
   Out += ",\n     \"events\": ";
-  jsonUInt(Out, R.EventsSent);
+  jsonAppendUInt(Out, R.EventsSent);
   Out += ", \"events_completed\": ";
-  jsonUInt(Out, R.EventsCompleted);
+  jsonAppendUInt(Out, R.EventsCompleted);
   Out += ", \"bytes_sent\": ";
-  jsonUInt(Out, R.BytesSent);
+  jsonAppendUInt(Out, R.BytesSent);
   Out += ", \"dynamic_races\": ";
-  jsonUInt(Out, R.Races);
+  jsonAppendUInt(Out, R.Races);
   Out += ",\n     \"offered_events_per_sec\": ";
-  jsonNumber(Out, R.OfferedEventsPerSec);
+  jsonAppendNumber(Out, R.OfferedEventsPerSec);
   Out += ", \"achieved_events_per_sec\": ";
-  jsonNumber(Out, R.AchievedEventsPerSec);
+  jsonAppendNumber(Out, R.AchievedEventsPerSec);
   Out += ", \"events_per_sec_per_core\": ";
-  jsonNumber(Out, Cores ? R.AchievedEventsPerSec / Cores
+  jsonAppendNumber(Out, Cores ? R.AchievedEventsPerSec / Cores
                         : R.AchievedEventsPerSec);
   Out += ",\n     \"hardware_concurrency\": ";
-  jsonUInt(Out, Cores);
+  jsonAppendUInt(Out, Cores);
   Out += ", \"duration_seconds\": ";
-  jsonNumber(Out, Opts.Gen.DurationSeconds);
+  jsonAppendNumber(Out, Opts.Gen.DurationSeconds);
   Out += ", \"wall_seconds\": ";
-  jsonNumber(Out, R.WallSeconds);
+  jsonAppendNumber(Out, R.WallSeconds);
   Out += ",\n     \"latency_ns\": ";
   jsonHistogram(Out, R.Latency);
   if (R.Service.count()) {
@@ -375,15 +356,23 @@ int main(int Argc, char **Argv) {
 
   std::string Json = jsonReport(Opts, Report);
   if (std::strcmp(Opts.Out, "-") == 0) {
-    std::fwrite(Json.data(), 1, Json.size(), stdout);
+    size_t Written = std::fwrite(Json.data(), 1, Json.size(), stdout);
+    if (std::fflush(stdout) != 0 || std::ferror(stdout) ||
+        Written != Json.size()) {
+      std::fprintf(stderr, "error: writing - failed\n");
+      return 1;
+    }
   } else {
     FILE *F = std::fopen(Opts.Out, "wb");
     if (!F) {
       std::fprintf(stderr, "error: cannot write %s\n", Opts.Out);
       return 1;
     }
-    std::fwrite(Json.data(), 1, Json.size(), F);
-    std::fclose(F);
+    size_t Written = std::fwrite(Json.data(), 1, Json.size(), F);
+    if (std::fclose(F) != 0 || Written != Json.size()) {
+      std::fprintf(stderr, "error: writing %s failed\n", Opts.Out);
+      return 1;
+    }
     if (!Opts.Quiet)
       std::fprintf(stderr, "st-loadgen: wrote %s\n", Opts.Out);
   }
