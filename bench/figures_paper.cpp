@@ -9,8 +9,8 @@
 
 #include "analysis/AnalysisRegistry.h"
 #include "graph/EdgeRecorder.h"
-#include "harness/Table.h"
 #include "oracle/PredictableRace.h"
+#include "support/Table.h"
 #include "trace/TraceText.h"
 #include "vindicate/Vindicator.h"
 #include "workload/Figures.h"

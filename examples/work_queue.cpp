@@ -12,8 +12,8 @@
 
 #include "analysis/AnalysisRegistry.h"
 #include "graph/EdgeRecorder.h"
-#include "harness/Table.h"
 #include "report/RaceSink.h"
+#include "support/Table.h"
 #include "trace/Trace.h"
 #include "vindicate/Vindicator.h"
 

@@ -1,24 +1,36 @@
-//===- harness/Stats.h - Benchmark statistics -------------------*- C++ -*-===//
+//===- support/Stats.h - Benchmark statistics -------------------*- C++ -*-===//
 //
 // Part of the SmartTrack reproduction, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Means, geometric means, and 95% confidence intervals matching the
-/// paper's methodology (§5.2: arithmetic mean of trials per cell, geometric
-/// mean across programs, Appendix A confidence intervals).
+/// Medians, means, geometric means, and 95% confidence intervals for the
+/// benchmark reports: st-bench reports the median of a cell's trials, the
+/// paper's tables take geometric means across programs (§5.2), and the
+/// Appendix A confidence intervals come from ciHalfWidth95.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef SMARTTRACK_HARNESS_STATS_H
-#define SMARTTRACK_HARNESS_STATS_H
+#ifndef SMARTTRACK_SUPPORT_STATS_H
+#define SMARTTRACK_SUPPORT_STATS_H
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
 
 namespace st {
+
+/// The middle value (the mean of the middle two for an even count); 0
+/// for no samples.
+inline double median(std::vector<double> Xs) {
+  std::sort(Xs.begin(), Xs.end());
+  size_t N = Xs.size();
+  if (N == 0)
+    return 0;
+  return N % 2 ? Xs[N / 2] : (Xs[N / 2 - 1] + Xs[N / 2]) / 2;
+}
 
 inline double mean(const std::vector<double> &Xs) {
   if (Xs.empty())
@@ -67,4 +79,4 @@ inline double ciHalfWidth95(const std::vector<double> &Xs) {
 
 } // namespace st
 
-#endif // SMARTTRACK_HARNESS_STATS_H
+#endif // SMARTTRACK_SUPPORT_STATS_H

@@ -1,18 +1,21 @@
-//===- harness/Table.h - Aligned table printing -----------------*- C++ -*-===//
+//===- support/Table.h - Aligned table printing -----------------*- C++ -*-===//
 //
 // Part of the SmartTrack reproduction, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Minimal column-aligned table printer for the benchmark binaries, which
-/// regenerate the paper's tables on stdout.
+/// Minimal column-aligned table printer, plus the cell formats of the
+/// paper's tables, for st-bench's paper views and the figure/example
+/// programs that print tables on stdout.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef SMARTTRACK_HARNESS_TABLE_H
-#define SMARTTRACK_HARNESS_TABLE_H
+#ifndef SMARTTRACK_SUPPORT_TABLE_H
+#define SMARTTRACK_SUPPORT_TABLE_H
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -63,6 +66,34 @@ private:
   std::vector<std::vector<std::string>> Rows;
 };
 
+/// Formats "4.2x" / "12x" like the paper's tables (two significant digits),
+/// with " ±h" when a confidence half-width is supplied.
+inline std::string formatFactor(double Value, double CiHalfWidth = 0.0) {
+  char Buf[64];
+  if (Value >= 9.95)
+    std::snprintf(Buf, sizeof(Buf), "%.0fx", Value);
+  else
+    std::snprintf(Buf, sizeof(Buf), "%.1fx", Value);
+  std::string Out = Buf;
+  if (CiHalfWidth > 0) {
+    std::snprintf(Buf, sizeof(Buf), " ±%.2g", CiHalfWidth);
+    Out += Buf;
+  }
+  return Out;
+}
+
+/// Formats "6 (425,515)": statically distinct races with the dynamic
+/// count in parentheses.
+inline std::string formatRaces(uint64_t Static, uint64_t Dynamic) {
+  std::string Digits = std::to_string(Dynamic), Grouped;
+  for (size_t I = 0; I != Digits.size(); ++I) {
+    if (I && (Digits.size() - I) % 3 == 0)
+      Grouped += ',';
+    Grouped += Digits[I];
+  }
+  return std::to_string(Static) + " (" + Grouped + ")";
+}
+
 } // namespace st
 
-#endif // SMARTTRACK_HARNESS_TABLE_H
+#endif // SMARTTRACK_SUPPORT_TABLE_H

@@ -1,10 +1,10 @@
-//===- harness/Characteristics.cpp - Table 2 measurements -----------------===//
+//===- workload/Characteristics.cpp - Table 2 measurements ----------------===//
 //
 // Part of the SmartTrack reproduction, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/Characteristics.h"
+#include "workload/Characteristics.h"
 
 #include "support/Epoch.h"
 

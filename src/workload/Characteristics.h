@@ -1,4 +1,4 @@
-//===- harness/Characteristics.h - Table 2 measurements ---------*- C++ -*-===//
+//===- workload/Characteristics.h - Table 2 measurements --------*- C++ -*-===//
 //
 // Part of the SmartTrack reproduction, under the MIT license.
 //
@@ -12,8 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef SMARTTRACK_HARNESS_CHARACTERISTICS_H
-#define SMARTTRACK_HARNESS_CHARACTERISTICS_H
+#ifndef SMARTTRACK_WORKLOAD_CHARACTERISTICS_H
+#define SMARTTRACK_WORKLOAD_CHARACTERISTICS_H
 
 #include "workload/Workload.h"
 
@@ -47,4 +47,4 @@ WorkloadCharacteristics measureCharacteristics(WorkloadGenerator &Gen);
 
 } // namespace st
 
-#endif // SMARTTRACK_HARNESS_CHARACTERISTICS_H
+#endif // SMARTTRACK_WORKLOAD_CHARACTERISTICS_H

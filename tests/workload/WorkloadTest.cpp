@@ -3,7 +3,7 @@
 #include "workload/Workload.h"
 
 #include "analysis/AnalysisRegistry.h"
-#include "harness/Characteristics.h"
+#include "workload/Characteristics.h"
 
 #include <gtest/gtest.h>
 
@@ -151,6 +151,21 @@ TEST(WorkloadTest, StreamStopsNearTarget) {
   EXPECT_GE(N, 1000u);
   EXPECT_LT(N, 1000u + 10000u) << "stream should stop at a block boundary";
   EXPECT_EQ(G.eventsEmitted(), N);
+}
+
+TEST(CharacteristicsTest, CountsSameEpochAccessesLikeFTO) {
+  // Hand-built stream: wr(x); wr(x) same epoch; sync; wr(x) new epoch.
+  WorkloadProfile P;
+  P.Threads = 2;
+  P.EpisodesPerMillion = 0;
+  WorkloadGenerator G(P, 200, 3);
+  WorkloadCharacteristics C = measureCharacteristics(G);
+  EXPECT_GT(C.AllEvents, 0u);
+  EXPECT_GT(C.Nseas, 0u);
+  EXPECT_LE(C.Nseas, C.AllEvents);
+  EXPECT_LE(C.NseaHeld3, C.NseaHeld2);
+  EXPECT_LE(C.NseaHeld2, C.NseaHeld1);
+  EXPECT_LE(C.NseaHeld1, C.Nseas);
 }
 
 } // namespace

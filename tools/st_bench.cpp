@@ -8,7 +8,7 @@
 // (src/workload) crossed with the analysis ladder (AnalysisRegistry) — on
 // top of the report-layer Session facade, and emits a stable,
 // schema-versioned JSON report (BENCH_results.json) plus a human-readable
-// table.
+// view of the same cells.
 //
 // Methodology: every (workload, analysis) cell streams the seeded workload
 // generator through ONE analysis per Session run, so per-analysis
@@ -20,10 +20,15 @@
 // stable across machines, which is what the CI regression gate
 // (tools/ci/bench_compare.py) compares against bench/baseline.json.
 //
+// Suites differ only in their workloads, analyses, sizes, and view: the
+// smoke/ci/full suites print one table per workload, the paper suite
+// prints the paper's Tables 2-7 and 12 from its cells, and the
+// ablation-ccs suite prints the CCS held-fraction sweep.
+//
 // Usage:
-//   st-bench [--suite=smoke|ci|full] [--workloads=a,b,..] [--analyses=..]
-//            [--events=N] [--warmup=N] [--repeats=N] [--batch=N] [--seed=N]
-//            [--out=FILE|-] [--quiet] [--list]
+//   st-bench [--suite=smoke|ci|full|paper|ablation-ccs] [--workloads=a,b,..]
+//            [--analyses=..] [--events=N] [--warmup=N] [--repeats=N]
+//            [--batch=N] [--seed=N] [--out=FILE|-] [--quiet] [--list]
 //
 // Exit status: 0 on success, 1 on usage errors.
 //
@@ -31,6 +36,9 @@
 
 #include "report/Session.h"
 #include "support/Json.h"
+#include "support/Stats.h"
+#include "support/Table.h"
+#include "workload/Characteristics.h"
 #include "workload/Workload.h"
 
 #include <algorithm>
@@ -39,6 +47,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,17 +56,555 @@ using namespace st;
 
 namespace {
 
-/// The shape of one predefined suite. Workload/analysis lists are indexes
-/// into the registry and profile tables, so suite declarations stay data.
+struct SuiteSpec;
+
+struct Options {
+  const SuiteSpec *Suite = nullptr;
+  std::vector<const WorkloadProfile *> Workloads;
+  std::vector<AnalysisKind> Analyses;
+  uint64_t Events = 0; // 0 = each workload's paper size (paperEvents)
+  unsigned Warmup = 0;
+  unsigned Repeats = 1;
+  size_t BatchSize = 1 << 14;
+  uint64_t Seed = 42;
+  const char *OutPath = "BENCH_results.json";
+  bool Quiet = false;
+  ValidationMode Validation = ValidationMode::Off;
+};
+
+/// A workload's Table 2 event count scaled by 1/4000 and clamped to
+/// [100k, 20M]: the paper suite's per-workload size.
+uint64_t paperEvents(const WorkloadProfile &P) {
+  return std::clamp<uint64_t>(P.PaperTotalEvents / 4000, 100000, 20000000);
+}
+
+/// The generator's target size for \p P under \p Opts.
+uint64_t eventsFor(const Options &Opts, const WorkloadProfile &P) {
+  return Opts.Events ? Opts.Events : paperEvents(P);
+}
+
+/// One measured (workload, analysis) cell.
+struct CellResult {
+  AnalysisKind Kind;
+  uint64_t Events = 0;
+  std::vector<double> Seconds;   // all measured trials, run order
+  std::vector<size_t> PeakBytes; // peak footprint per measured trial
+  double MedianSeconds = 0;
+  size_t FinalFootprintBytes = 0;
+  uint64_t DynamicRaces = 0;
+  unsigned StaticRaces = 0;
+  std::optional<CaseStats> Cases; // Table 12, for analyses that track it
+
+  size_t peakFootprintBytes() const {
+    return PeakBytes.empty() ? 0
+                             : *std::max_element(PeakBytes.begin(),
+                                                 PeakBytes.end());
+  }
+  double nsPerEvent() const {
+    return Events ? MedianSeconds * 1e9 / static_cast<double>(Events) : 0;
+  }
+  double eventsPerSec() const {
+    return MedianSeconds > 0 ? static_cast<double>(Events) / MedianSeconds
+                             : 0;
+  }
+};
+
+/// Everything one workload contributes to the report.
+struct WorkloadResult {
+  const WorkloadProfile *Profile = nullptr;
+  uint64_t Events = 0;
+  double DrainSeconds = 0; // uninstrumented baseline (median)
+  std::vector<CellResult> Cells;
+
+  const CellResult *cell(AnalysisKind K) const {
+    for (const CellResult &C : Cells)
+      if (C.Kind == K)
+        return &C;
+    return nullptr;
+  }
+  /// Run time relative to the uninstrumented drain for an analysis that
+  /// took \p Seconds (the JSON's slowdown_vs_drain).
+  double slowdown(double Seconds) const {
+    return DrainSeconds > 0 ? (DrainSeconds + Seconds) / DrainSeconds : 0;
+  }
+};
+
+using ViewFn = void (*)(const Options &, const std::vector<WorkloadResult> &);
+
+/// The shape of one predefined suite: its own workload profiles, the
+/// analyses it crosses them with, its default sizes, and the human view
+/// it prints.
 struct SuiteSpec {
   const char *Name;
   const char *Description;
-  std::vector<std::string> Workloads;
+  std::vector<WorkloadProfile> Workloads;
   std::vector<AnalysisKind> Analyses;
-  uint64_t Events;
+  uint64_t Events; // 0 = each workload's paper size
   unsigned Warmup;
   unsigned Repeats;
+  ViewFn View;
 };
+
+//===----------------------------------------------------------------------===//
+// Measurement
+//===----------------------------------------------------------------------===//
+
+/// Streams the workload through \p S once (rebuilding the generator so
+/// every trial sees the identical event stream).
+RunReport streamOnce(const WorkloadProfile &P, const Options &Opts,
+                     Session &S) {
+  WorkloadGenerator Gen(P, eventsFor(Opts, P), Opts.Seed);
+  GeneratorEventSource Src(Gen);
+  return S.run(Src);
+}
+
+/// Median uninstrumented drain (event generation + engine batching alone),
+/// warmed up like every analysis cell so the slowdown denominator does not
+/// carry cold-start cost the cells already shed. A Session with zero
+/// analyses is exactly that drain.
+double measureDrain(const WorkloadProfile &P, const Options &Opts) {
+  std::vector<double> Trials;
+  for (uint64_t T = 0; T != uint64_t{Opts.Warmup} + Opts.Repeats; ++T) {
+    SessionOptions SO;
+    SO.BatchSize = Opts.BatchSize;
+    SO.Validation = Opts.Validation;
+    Session S(SO);
+    RunReport Rep = streamOnce(P, Opts, S);
+    if (T >= Opts.Warmup)
+      Trials.push_back(Rep.WallSeconds);
+  }
+  return median(std::move(Trials));
+}
+
+CellResult measureCell(const WorkloadProfile &P, AnalysisKind Kind,
+                       const Options &Opts) {
+  CellResult Cell;
+  Cell.Kind = Kind;
+  for (uint64_t T = 0; T != uint64_t{Opts.Warmup} + Opts.Repeats; ++T) {
+    SessionOptions SO;
+    SO.BatchSize = Opts.BatchSize;
+    SO.SampleFootprint = true;
+    SO.MaxStoredRaces = 64;
+    SO.Validation = Opts.Validation;
+    Session S(SO);
+    S.add(Kind);
+    RunReport Rep = streamOnce(P, Opts, S);
+    Cell.Events = Rep.Stream.Events;
+    if (T < Opts.Warmup)
+      continue;
+    const AnalysisRunResult &A = Rep.Analyses.front();
+    Cell.Seconds.push_back(A.Seconds);
+    Cell.PeakBytes.push_back(A.PeakFootprintBytes);
+    Cell.FinalFootprintBytes = A.FinalFootprintBytes;
+    Cell.DynamicRaces = A.DynamicRaces;
+    Cell.StaticRaces = A.StaticRaces;
+    if (A.HasCaseStats)
+      Cell.Cases = A.Cases;
+  }
+  Cell.MedianSeconds = median(Cell.Seconds);
+  return Cell;
+}
+
+/// Relative costs are reported against FT2 when the selection includes
+/// it (the paper's own baseline); otherwise against the first analysis.
+std::optional<AnalysisKind>
+referenceKind(const std::vector<AnalysisKind> &Analyses) {
+  if (std::find(Analyses.begin(), Analyses.end(), AnalysisKind::FT2) !=
+      Analyses.end())
+    return AnalysisKind::FT2;
+  if (Analyses.empty())
+    return std::nullopt;
+  return Analyses.front();
+}
+
+//===----------------------------------------------------------------------===//
+// JSON report
+//===----------------------------------------------------------------------===//
+
+// Schema: bump on any breaking change to the JSON layout; the CI compare
+// gate refuses to diff across schema versions.
+constexpr unsigned SchemaVersion = 2;
+
+std::string jsonReport(const Options &Opts,
+                       const std::vector<WorkloadResult> &Workloads) {
+  std::optional<AnalysisKind> Ref = referenceKind(Opts.Analyses);
+  std::string Out = "{\n";
+  Out += "  \"schema\": \"st-bench/v2\",\n  \"schema_version\": ";
+  jsonAppendUInt(Out, SchemaVersion);
+  Out += ",\n  \"suite\": ";
+  jsonAppendEscaped(Out, Opts.Suite->Name);
+  Out += ",\n  \"config\": {\"events\": ";
+  jsonAppendUInt(Out, Opts.Events);
+  Out += ", \"warmup\": ";
+  jsonAppendUInt(Out, Opts.Warmup);
+  Out += ", \"repeats\": ";
+  jsonAppendUInt(Out, Opts.Repeats);
+  Out += ", \"batch\": ";
+  jsonAppendUInt(Out, Opts.BatchSize);
+  Out += ", \"seed\": ";
+  jsonAppendUInt(Out, Opts.Seed);
+  // Host provenance: comparison tooling can tell a starved machine from
+  // a real regression.
+  Out += ", \"hardware_concurrency\": ";
+  jsonAppendUInt(Out, std::thread::hardware_concurrency());
+  Out += ", \"reference\": ";
+  jsonAppendEscaped(Out, Ref ? analysisKindName(*Ref) : "");
+  Out += "},\n  \"workloads\": [\n";
+  for (size_t W = 0; W != Workloads.size(); ++W) {
+    const WorkloadResult &WR = Workloads[W];
+    Out += "    {\"name\": ";
+    jsonAppendEscaped(Out, WR.Profile->Name);
+    Out += ", \"threads\": ";
+    jsonAppendUInt(Out, WR.Profile->Threads);
+    Out += ", \"events\": ";
+    jsonAppendUInt(Out, WR.Events);
+    Out += ", \"drain_seconds\": ";
+    jsonAppendNumber(Out, WR.DrainSeconds);
+    Out += W + 1 != Workloads.size() ? "},\n" : "}\n";
+  }
+  Out += "  ],\n  \"results\": [\n";
+  size_t Total = 0, Emitted = 0;
+  for (const WorkloadResult &WR : Workloads)
+    Total += WR.Cells.size();
+  for (const WorkloadResult &WR : Workloads) {
+    // The reference cell for relative costs lives in the same workload,
+    // keeping the ratio free of cross-workload generation differences.
+    const CellResult *RefCell = Ref ? WR.cell(*Ref) : nullptr;
+    for (const CellResult &C : WR.Cells) {
+      Out += "    {\"workload\": ";
+      jsonAppendEscaped(Out, WR.Profile->Name);
+      Out += ", \"analysis\": ";
+      jsonAppendEscaped(Out, analysisKindName(C.Kind));
+      Out += ", \"events\": ";
+      jsonAppendUInt(Out, C.Events);
+      // Per-cell copy of the host's core count: comparison tooling reads
+      // cells in isolation, and a cell's numbers are only meaningful
+      // against the hardware they ran on.
+      Out += ", \"hardware_concurrency\": ";
+      jsonAppendUInt(Out, std::thread::hardware_concurrency());
+      Out += ",\n     \"seconds\": [";
+      for (size_t I = 0; I != C.Seconds.size(); ++I) {
+        if (I)
+          Out += ", ";
+        jsonAppendNumber(Out, C.Seconds[I]);
+      }
+      Out += "], \"seconds_median\": ";
+      jsonAppendNumber(Out, C.MedianSeconds);
+      Out += ",\n     \"ns_per_event\": ";
+      jsonAppendNumber(Out, C.nsPerEvent());
+      Out += ", \"events_per_sec\": ";
+      jsonAppendNumber(Out, C.eventsPerSec());
+      if (RefCell && RefCell->MedianSeconds > 0) {
+        Out += ", \"relative_cost\": ";
+        jsonAppendNumber(Out, C.MedianSeconds / RefCell->MedianSeconds);
+      }
+      if (WR.DrainSeconds > 0) {
+        Out += ", \"slowdown_vs_drain\": ";
+        jsonAppendNumber(Out, WR.slowdown(C.MedianSeconds));
+      }
+      Out += ",\n     \"peak_footprint_bytes\": ";
+      jsonAppendUInt(Out, C.peakFootprintBytes());
+      Out += ", \"final_footprint_bytes\": ";
+      jsonAppendUInt(Out, C.FinalFootprintBytes);
+      Out += ", \"dynamic_races\": ";
+      jsonAppendUInt(Out, C.DynamicRaces);
+      Out += ", \"static_races\": ";
+      jsonAppendUInt(Out, C.StaticRaces);
+      Out += ++Emitted != Total ? "},\n" : "}\n";
+    }
+  }
+  Out += "  ]\n}\n";
+  return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// Views
+//===----------------------------------------------------------------------===//
+
+/// The smoke/ci/full view: one table per workload.
+void printCellTables(const Options &Opts,
+                     const std::vector<WorkloadResult> &Workloads) {
+  std::optional<AnalysisKind> Ref = referenceKind(Opts.Analyses);
+  for (const WorkloadResult &WR : Workloads) {
+    std::printf("%s (%u threads, %llu events, drain %.1f ms)\n",
+                WR.Profile->Name, WR.Profile->Threads,
+                static_cast<unsigned long long>(WR.Events),
+                WR.DrainSeconds * 1e3);
+    std::printf("  %-9s %12s %14s %9s %10s %7s\n", "analysis", "ns/event",
+                "events/sec", "vs-ref", "peak-KiB", "races");
+    const CellResult *RefCell = Ref ? WR.cell(*Ref) : nullptr;
+    for (const CellResult &C : WR.Cells) {
+      char RefBuf[16] = "-";
+      if (RefCell && RefCell->MedianSeconds > 0)
+        std::snprintf(RefBuf, sizeof(RefBuf), "%.2fx",
+                      C.MedianSeconds / RefCell->MedianSeconds);
+      std::printf("  %-9s %12.1f %14.0f %9s %10.0f %7llu\n",
+                  analysisKindName(C.Kind), C.nsPerEvent(), C.eventsPerSec(),
+                  RefBuf, static_cast<double>(C.peakFootprintBytes()) / 1024,
+                  static_cast<unsigned long long>(C.DynamicRaces));
+    }
+  }
+}
+
+/// A paper-table value with the half-width of its 95% confidence
+/// interval over the measured trials (0 with fewer than two).
+struct Factor {
+  double Value = 0;
+  double Ci = 0;
+};
+
+/// Run time relative to the uninstrumented drain.
+Factor slowdownFactor(const WorkloadResult &WR, const CellResult &C) {
+  std::vector<double> Trials;
+  for (double S : C.Seconds)
+    Trials.push_back(WR.slowdown(S));
+  return {WR.slowdown(C.MedianSeconds), ciHalfWidth95(Trials)};
+}
+
+/// Memory relative to a fixed 1 MiB uninstrumented-footprint proxy: the
+/// workload generator streams, so there is no program heap to compare to.
+Factor memoryFactor(const WorkloadResult &, const CellResult &C) {
+  auto Factor1MiB = [](size_t Bytes) {
+    return 1.0 + static_cast<double>(Bytes) / (1 << 20);
+  };
+  std::vector<double> Trials;
+  for (size_t B : C.PeakBytes)
+    Trials.push_back(Factor1MiB(B));
+  return {Factor1MiB(C.peakFootprintBytes()), ciHalfWidth95(Trials)};
+}
+
+using FactorFn = Factor (*)(const WorkloadResult &, const CellResult &);
+
+std::string factorText(const WorkloadResult &WR, AnalysisKind K,
+                       FactorFn Fn) {
+  const CellResult *C = WR.cell(K);
+  if (!C)
+    return "-";
+  Factor F = Fn(WR, *C);
+  return formatFactor(F.Value, F.Ci);
+}
+
+/// Geometric mean of \p Fn over every workload that measured \p K.
+std::string geomeanText(const std::vector<WorkloadResult> &Workloads,
+                        AnalysisKind K, FactorFn Fn) {
+  std::vector<double> Values;
+  for (const WorkloadResult &WR : Workloads)
+    if (const CellResult *C = WR.cell(K))
+      Values.push_back(Fn(WR, *C).Value);
+  return Values.empty() ? "-" : formatFactor(geomean(Values));
+}
+
+/// Prints the paper's per-program block layout (Tables 4-7): relations as
+/// rows, optimization levels as columns, ST-HB not applicable.
+template <typename CellText> void printGrid(CellText Text) {
+  static const char *const Relations[] = {"HB", "WCP", "DC", "WDC"};
+  static const std::optional<AnalysisKind> Kinds[4][3] = {
+      {AnalysisKind::UnoptHB, AnalysisKind::FTOHB, std::nullopt},
+      {AnalysisKind::UnoptWCP, AnalysisKind::FTOWCP, AnalysisKind::STWCP},
+      {AnalysisKind::UnoptDC, AnalysisKind::FTODC, AnalysisKind::STDC},
+      {AnalysisKind::UnoptWDC, AnalysisKind::FTOWDC, AnalysisKind::STWDC},
+  };
+  TablePrinter Table({"", "Unopt-", "FTO-", "ST-"});
+  for (unsigned R = 0; R != 4; ++R) {
+    std::vector<std::string> Row = {Relations[R]};
+    for (const std::optional<AnalysisKind> &K : Kinds[R])
+      Row.push_back(K ? Text(*K) : "N/A");
+    Table.addRow(std::move(Row));
+  }
+  Table.print();
+}
+
+/// Prints one per-program block per workload (Tables 5-7).
+template <typename CellText>
+void printProgramGrids(const std::vector<WorkloadResult> &Workloads,
+                       CellText Text) {
+  for (const WorkloadResult &WR : Workloads) {
+    std::printf("%s\n", WR.Profile->Name);
+    printGrid([&](AnalysisKind K) { return Text(WR, K); });
+    std::printf("\n");
+  }
+}
+
+/// "2.4M" / "35K" / "501", with \p KiloDigits decimals on the K form.
+std::string formatCount(uint64_t N, int KiloDigits) {
+  char Buf[32];
+  if (N >= 1000000)
+    std::snprintf(Buf, sizeof(Buf), "%.1fM", static_cast<double>(N) / 1e6);
+  else if (N >= 1000)
+    std::snprintf(Buf, sizeof(Buf), "%.*fK", KiloDigits,
+                  static_cast<double>(N) / 1e3);
+  else
+    std::snprintf(Buf, sizeof(Buf), "%llu",
+                  static_cast<unsigned long long>(N));
+  return Buf;
+}
+
+std::string formatPct(double Fraction) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.2f%%", 100.0 * Fraction);
+  return Buf;
+}
+
+/// Table 12's share of \p Part in \p Total, three significant digits.
+std::string formatCasePct(uint64_t Part, uint64_t Total) {
+  if (Total == 0)
+    return "-";
+  double Pct = 100.0 * static_cast<double>(Part) / static_cast<double>(Total);
+  if (Pct != 0 && Pct < 0.001)
+    return "<0.001%";
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.3g%%", Pct);
+  return Buf;
+}
+
+void printTable2(const Options &Opts,
+                 const std::vector<WorkloadResult> &Workloads) {
+  std::printf("Table 2: run-time characteristics of the evaluated programs "
+              "(paper targets in parentheses)\n\n");
+  TablePrinter Table({"Program", "#Thr", "All", "NSEAs", ">=1 lock",
+                      ">=2 locks", ">=3 locks"});
+  for (const WorkloadResult &WR : Workloads) {
+    const WorkloadProfile &P = *WR.Profile;
+    WorkloadGenerator Gen(P, eventsFor(Opts, P), Opts.Seed);
+    WorkloadCharacteristics C = measureCharacteristics(Gen);
+    auto Held = [&](unsigned N, double Target) {
+      return formatPct(C.heldFraction(N)) + " (" + formatPct(Target) + ")";
+    };
+    Table.addRow({P.Name, std::to_string(C.Threads),
+                  formatCount(C.AllEvents, 0), formatCount(C.Nseas, 0),
+                  Held(1, P.Held1), Held(2, P.Held2), Held(3, P.Held3)});
+  }
+  Table.print();
+}
+
+void printTable3(const std::vector<WorkloadResult> &Workloads) {
+  static const AnalysisKind Kinds[] = {
+      AnalysisKind::FT2,        AnalysisKind::FTOHB,
+      AnalysisKind::UnoptDCwG,  AnalysisKind::UnoptDC,
+      AnalysisKind::UnoptWDCwG, AnalysisKind::UnoptWDC,
+  };
+  std::printf("Table 3: baselines (run time and memory factors vs "
+              "uninstrumented execution)\n\n");
+  for (FactorFn Fn : {slowdownFactor, memoryFactor}) {
+    TablePrinter Table({"Program", "FT2", "FTO", "UnoptDC w/G", "UnoptDC",
+                        "UnoptWDC w/G", "UnoptWDC"});
+    for (const WorkloadResult &WR : Workloads) {
+      std::vector<std::string> Row = {WR.Profile->Name};
+      for (AnalysisKind K : Kinds)
+        Row.push_back(factorText(WR, K, Fn));
+      Table.addRow(std::move(Row));
+    }
+    std::vector<std::string> Geo = {"geomean"};
+    for (AnalysisKind K : Kinds)
+      Geo.push_back(geomeanText(Workloads, K, Fn));
+    Table.addRow(std::move(Geo));
+    std::printf("%s\n", Fn == slowdownFactor ? "Run time" : "\nMemory usage");
+    Table.print();
+  }
+}
+
+void printTable12(const std::vector<WorkloadResult> &Workloads) {
+  std::printf("Table 12: frequencies of non-same-epoch reads and writes "
+              "for SmartTrack-WDC\n\n");
+  TablePrinter Table({"Program", "Event", "Total", "Owned Excl",
+                      "Owned Shared", "Unowned Excl", "Unowned Share",
+                      "Unowned Shared"});
+  for (const WorkloadResult &WR : Workloads) {
+    const CellResult *C = WR.cell(AnalysisKind::STWDC);
+    if (!C || !C->Cases)
+      continue;
+    const CaseStats &S = *C->Cases;
+    uint64_t Reads = S.nonSameEpochReads(), Writes = S.nonSameEpochWrites();
+    Table.addRow({WR.Profile->Name, "Read", formatCount(Reads, 1),
+                  formatCasePct(S.ReadOwned, Reads),
+                  formatCasePct(S.ReadSharedOwned, Reads),
+                  formatCasePct(S.ReadExclusive, Reads),
+                  formatCasePct(S.ReadShare, Reads),
+                  formatCasePct(S.ReadShared, Reads)});
+    Table.addRow({"", "Write", formatCount(Writes, 1),
+                  formatCasePct(S.WriteOwned, Writes), "N/A",
+                  formatCasePct(S.WriteExclusive, Writes), "N/A",
+                  formatCasePct(S.WriteShared, Writes)});
+  }
+  Table.print();
+}
+
+/// The paper suite's view: Tables 2-7 and 12 from one set of cells.
+/// With two or more repeats the factors carry 95% confidence intervals,
+/// which makes Tables 5 and 6 the appendix's Tables 9 and 10.
+void printPaperTables(const Options &Opts,
+                      const std::vector<WorkloadResult> &Workloads) {
+  std::printf("Paper tables: seed %llu, median of %u trial(s) per cell\n\n",
+              static_cast<unsigned long long>(Opts.Seed), Opts.Repeats);
+  printTable2(Opts, Workloads);
+  std::printf("\n");
+  printTable3(Workloads);
+
+  std::printf("\nTable 4: geometric mean of run time and memory usage "
+              "across the evaluated programs\n\n");
+  for (FactorFn Fn : {slowdownFactor, memoryFactor}) {
+    std::printf("%s\n", Fn == slowdownFactor ? "Run time" : "\nMemory usage");
+    printGrid([&](AnalysisKind K) { return geomeanText(Workloads, K, Fn); });
+  }
+
+  std::printf("\nTable 5: run time, relative to uninstrumented execution, "
+              "per program\n\n");
+  printProgramGrids(Workloads, [](const WorkloadResult &WR, AnalysisKind K) {
+    return factorText(WR, K, slowdownFactor);
+  });
+  std::printf("Table 6: memory usage, relative to uninstrumented "
+              "execution, per program\n\n");
+  printProgramGrids(Workloads, [](const WorkloadResult &WR, AnalysisKind K) {
+    return factorText(WR, K, memoryFactor);
+  });
+  std::printf("Table 7: races reported (statically distinct, with dynamic "
+              "races in parentheses)\n\n");
+  printProgramGrids(Workloads, [](const WorkloadResult &WR, AnalysisKind K) {
+    const CellResult *C = WR.cell(K);
+    return C ? formatRaces(C->StaticRaces, C->DynamicRaces)
+             : std::string("-");
+  });
+  printTable12(Workloads);
+}
+
+/// The ablation-ccs view: how the DC ladder's run time moves with the
+/// fraction of accesses made inside critical sections.
+void printCcsSweep(const Options &,
+                   const std::vector<WorkloadResult> &Workloads) {
+  std::printf("Ablation: CCS optimizations vs fraction of accesses in "
+              "critical sections (DC analyses)\n\n");
+  TablePrinter Table({"held>=1", "Unopt-DC", "FTO-DC", "ST-DC",
+                      "FTO/ST speedup", "Unopt/FTO speedup"});
+  auto Ratio = [](const CellResult *Num, const CellResult *Den) {
+    if (!Num || !Den || Den->MedianSeconds <= 0)
+      return std::string("-");
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%.2fx",
+                  Num->MedianSeconds / Den->MedianSeconds);
+    return std::string(Buf);
+  };
+  for (const WorkloadResult &WR : Workloads) {
+    char Held[16];
+    std::snprintf(Held, sizeof(Held), "%.0f%%", WR.Profile->Held1 * 100);
+    const CellResult *Unopt = WR.cell(AnalysisKind::UnoptDC);
+    const CellResult *FTO = WR.cell(AnalysisKind::FTODC);
+    const CellResult *ST = WR.cell(AnalysisKind::STDC);
+    auto Slowdown = [&WR](AnalysisKind K) {
+      return factorText(WR, K, slowdownFactor);
+    };
+    Table.addRow({Held, Slowdown(AnalysisKind::UnoptDC),
+                  Slowdown(AnalysisKind::FTODC), Slowdown(AnalysisKind::STDC),
+                  Ratio(FTO, ST), Ratio(Unopt, FTO)});
+  }
+  Table.print();
+  std::printf("\nExpected shape: the FTO/ST speedup grows with the held "
+              "fraction (CCS work dominates),\nwhile Unopt/FTO reflects "
+              "the epoch/ownership benefit throughout.\n");
+}
+
+//===----------------------------------------------------------------------===//
+// Suites
+//===----------------------------------------------------------------------===//
 
 /// The ladder every suite measures by default: the FT2 reference plus the
 /// epoch-optimized and SmartTrack configurations of each relation. Unopt
@@ -70,19 +617,51 @@ std::vector<AnalysisKind> ladderAnalyses() {
           AnalysisKind::FTOWDC, AnalysisKind::STWDC};
 }
 
+std::vector<WorkloadProfile> dacapo(const std::vector<const char *> &Names) {
+  std::vector<WorkloadProfile> Out;
+  for (const char *N : Names)
+    Out.push_back(*findProfile(N));
+  return Out;
+}
+
+/// The CCS sweep (§4.2, §5.5): 8 threads, a quarter of the accesses
+/// non-same-epoch, no seeded races, and the fraction of NSEAs holding at
+/// least one lock stepped from none to nearly all.
+std::vector<WorkloadProfile> ccsSweepProfiles() {
+  static const char *const Names[] = {"held0",  "held20", "held40",
+                                      "held60", "held80", "held99"};
+  static const double Held[] = {0.0, 0.2, 0.4, 0.6, 0.8, 0.99};
+  std::vector<WorkloadProfile> Out;
+  for (size_t I = 0; I != 6; ++I) {
+    WorkloadProfile P;
+    P.Name = Names[I];
+    P.Threads = 8;
+    P.PaperTotalEvents = 400000;
+    P.NseaFraction = 0.25;
+    P.Held1 = Held[I];
+    P.Held2 = Held[I] * 0.5;
+    P.Held3 = Held[I] * 0.1;
+    P.EpisodesPerMillion = 0;
+    Out.push_back(P);
+  }
+  return Out;
+}
+
 const std::vector<SuiteSpec> &suites() {
   static const std::vector<SuiteSpec> Suites = [] {
     std::vector<SuiteSpec> S;
     // Diverse thread counts: jython=2, avrora=7, tomcat=37 straddle the
     // VectorClock inline-storage boundary from both sides.
-    std::vector<std::string> SmallSet = {"avrora", "jython", "tomcat"};
+    std::vector<WorkloadProfile> SmallSet =
+        dacapo({"avrora", "jython", "tomcat"});
     S.push_back({"smoke",
                  "CTest-sized: 3 workloads x 8 analyses, 20k events, 1 trial",
                  SmallSet,
                  ladderAnalyses(),
                  20000,
                  0,
-                 1});
+                 1,
+                 printCellTables});
     // The ci suite covers every main-table analysis (Tables 4-6's 11
     // configurations), so the regression gate sees the full WCP/DC/WDC
     // grid including the Unopt tiers and the WDC column. Relative costs
@@ -95,10 +674,8 @@ const std::vector<SuiteSpec> &suites() {
                  mainTableAnalysisKinds(),
                  200000,
                  1,
-                 3});
-    std::vector<std::string> All;
-    for (const WorkloadProfile &P : dacapoProfiles())
-      All.push_back(P.Name);
+                 3,
+                 printCellTables});
     std::vector<AnalysisKind> Full = ladderAnalyses();
     Full.push_back(AnalysisKind::UnoptHB);
     Full.push_back(AnalysisKind::UnoptWCP);
@@ -106,29 +683,46 @@ const std::vector<SuiteSpec> &suites() {
     Full.push_back(AnalysisKind::UnoptWDC);
     S.push_back({"full",
                  "all 10 workloads x 12 analyses, 500k events, median of 5",
-                 All,
+                 dacapoProfiles(),
                  Full,
                  500000,
                  1,
-                 5});
+                 5,
+                 printCellTables});
+    // The paper's evaluation: the 11 main-table analyses plus Table 3's
+    // extra baselines, each workload at its Table 2 size / 4000.
+    std::vector<AnalysisKind> Paper = mainTableAnalysisKinds();
+    Paper.push_back(AnalysisKind::FT2);
+    Paper.push_back(AnalysisKind::UnoptDCwG);
+    Paper.push_back(AnalysisKind::UnoptWDCwG);
+    S.push_back({"paper",
+                 "Tables 2-7 and 12: 10 workloads x 14 analyses, Table 2"
+                 " sizes / 4000, median of 3",
+                 dacapoProfiles(),
+                 Paper,
+                 0,
+                 1,
+                 3,
+                 printPaperTables});
+    std::vector<AnalysisKind> Dc = {AnalysisKind::UnoptDC, AnalysisKind::FTODC,
+                                    AnalysisKind::STDC};
+    S.push_back({"ablation-ccs",
+                 "CCS sweep: 6 held-fraction workloads x 3 DC analyses,"
+                 " 400k events, median of 3",
+                 ccsSweepProfiles(),
+                 Dc,
+                 400000,
+                 1,
+                 3,
+                 printCcsSweep});
     return S;
   }();
   return Suites;
 }
 
-struct Options {
-  const SuiteSpec *Suite = nullptr;
-  std::vector<std::string> Workloads; // overrides suite when non-empty
-  std::vector<AnalysisKind> Analyses; // overrides suite when non-empty
-  uint64_t Events = 0;                // 0 = suite default
-  unsigned Warmup = UINT_MAX;         // UINT_MAX = suite default
-  unsigned Repeats = UINT_MAX;
-  size_t BatchSize = 1 << 14;
-  uint64_t Seed = 42;
-  const char *OutPath = "BENCH_results.json";
-  bool Quiet = false;
-  ValidationMode Validation = ValidationMode::Off;
-};
+//===----------------------------------------------------------------------===//
+// Command line
+//===----------------------------------------------------------------------===//
 
 void printUsage(FILE *Out, const char *Prog) {
   std::fprintf(
@@ -140,7 +734,8 @@ void printUsage(FILE *Out, const char *Prog) {
       "writes a schema-versioned JSON report plus a human table.\n"
       "\n"
       "options:\n"
-      "  --suite=NAME     predefined suite: smoke, ci (default), full\n"
+      "  --suite=NAME     predefined suite: smoke, ci (default), full,\n"
+      "                   paper (the paper's tables), ablation-ccs\n"
       "  --workloads=a,b  workload profile names (see --list)\n"
       "  --analyses=a,b   analysis names (see --list); default: the ladder\n"
       "  --events=N       events per workload (default: suite's)\n"
@@ -163,11 +758,18 @@ void printUsage(FILE *Out, const char *Prog) {
 void printList() {
   std::printf("suites:\n");
   for (const SuiteSpec &S : suites())
-    std::printf("  %-6s %s\n", S.Name, S.Description);
+    std::printf("  %-12s %s\n", S.Name, S.Description);
   std::printf("workloads (src/workload profiles, Table 2 shapes):\n");
   for (const WorkloadProfile &P : dacapoProfiles())
     std::printf("  %-9s %2u threads, %5.1f%% NSEAs\n", P.Name, P.Threads,
                 P.NseaFraction * 100);
+  for (const SuiteSpec &S : suites())
+    for (const WorkloadProfile &P : S.Workloads)
+      if (!findProfile(P.Name))
+        std::printf("  %-9s %2u threads, %5.1f%% NSEAs, %.0f%% held "
+                    "(%s suite)\n",
+                    P.Name, P.Threads, P.NseaFraction * 100, P.Held1 * 100,
+                    S.Name);
   std::printf("analyses (Table 1 registry order):\n");
   for (AnalysisKind K : allAnalysisKinds())
     std::printf("  %s\n", analysisKindName(K));
@@ -182,6 +784,21 @@ bool parseCount(const char *Value, const char *Flag, uint64_t &Out) {
     return false;
   }
   Out = N;
+  return true;
+}
+
+/// parseCount for a trial count, which must fit an unsigned.
+bool parseTrials(const char *Value, const char *Flag,
+                 std::optional<unsigned> &Out) {
+  uint64_t N = 0;
+  if (!parseCount(Value, Flag, N))
+    return false;
+  if (N > UINT_MAX) {
+    std::fprintf(stderr, "error: %s value '%s' out of range (max %u)\n",
+                 Flag, Value, UINT_MAX);
+    return false;
+  }
+  Out = static_cast<unsigned>(N);
   return true;
 }
 
@@ -209,7 +826,18 @@ const SuiteSpec *findSuite(const char *Name) {
   return nullptr;
 }
 
+/// A workload name resolves in the suite's own profiles first, then in
+/// the DaCapo table.
+const WorkloadProfile *findWorkload(const SuiteSpec &S, const char *Name) {
+  for (const WorkloadProfile &P : S.Workloads)
+    if (std::strcmp(P.Name, Name) == 0)
+      return &P;
+  return findProfile(Name);
+}
+
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
+  std::vector<std::string> WorkloadNames;
+  std::optional<unsigned> Warmup, Repeats;
   for (int I = 1; I < Argc; ++I) {
     const char *Arg = Argv[I];
     uint64_t N = 0;
@@ -221,14 +849,8 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
     } else if (std::strncmp(Arg, "--workloads=", 12) == 0) {
-      for (const std::string &W : splitCommas(Arg + 12)) {
-        if (!findProfile(W.c_str())) {
-          std::fprintf(stderr, "error: unknown workload '%s' (try --list)\n",
-                       W.c_str());
-          return false;
-        }
-        Opts.Workloads.push_back(W);
-      }
+      for (const std::string &W : splitCommas(Arg + 12))
+        WorkloadNames.push_back(W);
     } else if (std::strncmp(Arg, "--analyses=", 11) == 0) {
       for (const std::string &A : splitCommas(Arg + 11)) {
         AnalysisKind K;
@@ -243,17 +865,15 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       if (!parseCount(Arg + 9, "--events", Opts.Events))
         return false;
     } else if (std::strncmp(Arg, "--warmup=", 9) == 0) {
-      if (!parseCount(Arg + 9, "--warmup", N))
+      if (!parseTrials(Arg + 9, "--warmup", Warmup))
         return false;
-      Opts.Warmup = static_cast<unsigned>(N);
     } else if (std::strncmp(Arg, "--repeats=", 10) == 0) {
-      if (!parseCount(Arg + 10, "--repeats", N))
+      if (!parseTrials(Arg + 10, "--repeats", Repeats))
         return false;
-      if (N == 0) {
+      if (*Repeats == 0) {
         std::fprintf(stderr, "error: --repeats must be >= 1\n");
         return false;
       }
-      Opts.Repeats = static_cast<unsigned>(N);
     } else if (std::strncmp(Arg, "--batch=", 8) == 0) {
       if (!parseCount(Arg + 8, "--batch", N))
         return false;
@@ -295,250 +915,25 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   }
   if (!Opts.Suite)
     Opts.Suite = findSuite("ci");
+  for (const std::string &W : WorkloadNames) {
+    const WorkloadProfile *P = findWorkload(*Opts.Suite, W.c_str());
+    if (!P) {
+      std::fprintf(stderr, "error: unknown workload '%s' (try --list)\n",
+                   W.c_str());
+      return false;
+    }
+    Opts.Workloads.push_back(P);
+  }
   if (Opts.Workloads.empty())
-    Opts.Workloads = Opts.Suite->Workloads;
+    for (const WorkloadProfile &P : Opts.Suite->Workloads)
+      Opts.Workloads.push_back(&P);
   if (Opts.Analyses.empty())
     Opts.Analyses = Opts.Suite->Analyses;
   if (Opts.Events == 0)
     Opts.Events = Opts.Suite->Events;
-  if (Opts.Warmup == UINT_MAX)
-    Opts.Warmup = Opts.Suite->Warmup;
-  if (Opts.Repeats == UINT_MAX)
-    Opts.Repeats = Opts.Suite->Repeats;
+  Opts.Warmup = Warmup.value_or(Opts.Suite->Warmup);
+  Opts.Repeats = Repeats.value_or(Opts.Suite->Repeats);
   return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Measurement
-//===----------------------------------------------------------------------===//
-
-/// One measured (workload, analysis) cell.
-struct CellResult {
-  std::string Workload;
-  AnalysisKind Kind;
-  uint64_t Events = 0;
-  std::vector<double> Seconds; // all measured trials, run order
-  double MedianSeconds = 0;
-  size_t PeakFootprintBytes = 0;
-  size_t FinalFootprintBytes = 0;
-  uint64_t DynamicRaces = 0;
-  unsigned StaticRaces = 0;
-
-  double nsPerEvent() const {
-    return Events ? MedianSeconds * 1e9 / static_cast<double>(Events) : 0;
-  }
-  double eventsPerSec() const {
-    return MedianSeconds > 0 ? static_cast<double>(Events) / MedianSeconds
-                             : 0;
-  }
-};
-
-/// Everything one workload contributes to the report.
-struct WorkloadResult {
-  const WorkloadProfile *Profile = nullptr;
-  uint64_t Events = 0;
-  double DrainSeconds = 0; // uninstrumented baseline (median)
-  std::vector<CellResult> Cells;
-};
-
-double median(std::vector<double> Xs) {
-  std::sort(Xs.begin(), Xs.end());
-  size_t N = Xs.size();
-  if (N == 0)
-    return 0;
-  return N % 2 ? Xs[N / 2] : (Xs[N / 2 - 1] + Xs[N / 2]) / 2;
-}
-
-/// Streams the workload through \p S once (rebuilding the generator so
-/// every trial sees the identical event stream).
-RunReport streamOnce(const WorkloadProfile &P, const Options &Opts,
-                     Session &S) {
-  WorkloadGenerator Gen(P, Opts.Events, Opts.Seed);
-  GeneratorEventSource Src(Gen);
-  return S.run(Src);
-}
-
-/// Median uninstrumented drain (event generation + engine batching alone),
-/// warmed up like every analysis cell so the slowdown denominator does not
-/// carry cold-start cost the cells already shed. A Session with zero
-/// analyses is exactly that drain.
-double measureDrain(const WorkloadProfile &P, const Options &Opts) {
-  std::vector<double> Trials;
-  for (unsigned T = 0; T != Opts.Warmup + std::max(Opts.Repeats, 1u); ++T) {
-    SessionOptions SO;
-    SO.BatchSize = Opts.BatchSize;
-    SO.Validation = Opts.Validation;
-    Session S(SO);
-    RunReport Rep = streamOnce(P, Opts, S);
-    if (T >= Opts.Warmup)
-      Trials.push_back(Rep.WallSeconds);
-  }
-  return median(std::move(Trials));
-}
-
-CellResult measureCell(const WorkloadProfile &P, AnalysisKind Kind,
-                       const Options &Opts) {
-  CellResult Cell;
-  Cell.Workload = P.Name;
-  Cell.Kind = Kind;
-  for (unsigned T = 0; T != Opts.Warmup + Opts.Repeats; ++T) {
-    SessionOptions SO;
-    SO.BatchSize = Opts.BatchSize;
-    SO.SampleFootprint = true;
-    SO.MaxStoredRaces = 64;
-    SO.Validation = Opts.Validation;
-    Session S(SO);
-    S.add(Kind);
-    RunReport Rep = streamOnce(P, Opts, S);
-    Cell.Events = Rep.Stream.Events;
-    if (T < Opts.Warmup)
-      continue;
-    const AnalysisRunResult &A = Rep.Analyses.front();
-    Cell.Seconds.push_back(A.Seconds);
-    Cell.PeakFootprintBytes =
-        std::max(Cell.PeakFootprintBytes, A.PeakFootprintBytes);
-    Cell.FinalFootprintBytes = A.FinalFootprintBytes;
-    Cell.DynamicRaces = A.DynamicRaces;
-    Cell.StaticRaces = A.StaticRaces;
-  }
-  Cell.MedianSeconds = median(Cell.Seconds);
-  return Cell;
-}
-
-//===----------------------------------------------------------------------===//
-// JSON report
-//===----------------------------------------------------------------------===//
-
-// Schema: bump on any breaking change to the JSON layout; the CI compare
-// gate refuses to diff across schema versions.
-constexpr unsigned SchemaVersion = 2;
-
-std::string jsonReport(const Options &Opts,
-                       const std::vector<WorkloadResult> &Workloads,
-                       const char *ReferenceName) {
-  std::string Out = "{\n";
-  Out += "  \"schema\": \"st-bench/v2\",\n  \"schema_version\": ";
-  jsonAppendUInt(Out, SchemaVersion);
-  Out += ",\n  \"suite\": ";
-  jsonAppendEscaped(Out, Opts.Suite->Name);
-  Out += ",\n  \"config\": {\"events\": ";
-  jsonAppendUInt(Out, Opts.Events);
-  Out += ", \"warmup\": ";
-  jsonAppendUInt(Out, Opts.Warmup);
-  Out += ", \"repeats\": ";
-  jsonAppendUInt(Out, Opts.Repeats);
-  Out += ", \"batch\": ";
-  jsonAppendUInt(Out, Opts.BatchSize);
-  Out += ", \"seed\": ";
-  jsonAppendUInt(Out, Opts.Seed);
-  // Host provenance: comparison tooling can tell a starved machine from
-  // a real regression.
-  Out += ", \"hardware_concurrency\": ";
-  jsonAppendUInt(Out, std::thread::hardware_concurrency());
-  Out += ", \"reference\": ";
-  jsonAppendEscaped(Out, ReferenceName ? ReferenceName : "");
-  Out += "},\n  \"workloads\": [\n";
-  for (size_t W = 0; W != Workloads.size(); ++W) {
-    const WorkloadResult &WR = Workloads[W];
-    Out += "    {\"name\": ";
-    jsonAppendEscaped(Out, WR.Profile->Name);
-    Out += ", \"threads\": ";
-    jsonAppendUInt(Out, WR.Profile->Threads);
-    Out += ", \"events\": ";
-    jsonAppendUInt(Out, WR.Events);
-    Out += ", \"drain_seconds\": ";
-    jsonAppendNumber(Out, WR.DrainSeconds);
-    Out += W + 1 != Workloads.size() ? "},\n" : "}\n";
-  }
-  Out += "  ],\n  \"results\": [\n";
-  size_t Total = 0, Emitted = 0;
-  for (const WorkloadResult &WR : Workloads)
-    Total += WR.Cells.size();
-  for (const WorkloadResult &WR : Workloads) {
-    // The reference cell for relative costs lives in the same workload,
-    // keeping the ratio free of cross-workload generation differences.
-    const CellResult *Ref = nullptr;
-    for (const CellResult &C : WR.Cells)
-      if (ReferenceName &&
-          std::strcmp(analysisKindName(C.Kind), ReferenceName) == 0)
-        Ref = &C;
-    for (const CellResult &C : WR.Cells) {
-      Out += "    {\"workload\": ";
-      jsonAppendEscaped(Out, C.Workload);
-      Out += ", \"analysis\": ";
-      jsonAppendEscaped(Out, analysisKindName(C.Kind));
-      Out += ", \"events\": ";
-      jsonAppendUInt(Out, C.Events);
-      // Per-cell copy of the host's core count: comparison tooling reads
-      // cells in isolation, and a cell's numbers are only meaningful
-      // against the hardware they ran on.
-      Out += ", \"hardware_concurrency\": ";
-      jsonAppendUInt(Out, std::thread::hardware_concurrency());
-      Out += ",\n     \"seconds\": [";
-      for (size_t I = 0; I != C.Seconds.size(); ++I) {
-        if (I)
-          Out += ", ";
-        jsonAppendNumber(Out, C.Seconds[I]);
-      }
-      Out += "], \"seconds_median\": ";
-      jsonAppendNumber(Out, C.MedianSeconds);
-      Out += ",\n     \"ns_per_event\": ";
-      jsonAppendNumber(Out, C.nsPerEvent());
-      Out += ", \"events_per_sec\": ";
-      jsonAppendNumber(Out, C.eventsPerSec());
-      if (Ref && Ref->MedianSeconds > 0) {
-        Out += ", \"relative_cost\": ";
-        jsonAppendNumber(Out, C.MedianSeconds / Ref->MedianSeconds);
-      }
-      if (WR.DrainSeconds > 0) {
-        Out += ", \"slowdown_vs_drain\": ";
-        jsonAppendNumber(Out, (WR.DrainSeconds + C.MedianSeconds) /
-                                  WR.DrainSeconds);
-      }
-      Out += ",\n     \"peak_footprint_bytes\": ";
-      jsonAppendUInt(Out, C.PeakFootprintBytes);
-      Out += ", \"final_footprint_bytes\": ";
-      jsonAppendUInt(Out, C.FinalFootprintBytes);
-      Out += ", \"dynamic_races\": ";
-      jsonAppendUInt(Out, C.DynamicRaces);
-      Out += ", \"static_races\": ";
-      jsonAppendUInt(Out, C.StaticRaces);
-      Out += ++Emitted != Total ? "},\n" : "}\n";
-    }
-  }
-  Out += "  ]\n}\n";
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Human table
-//===----------------------------------------------------------------------===//
-
-void printTable(const std::vector<WorkloadResult> &Workloads,
-                const char *ReferenceName) {
-  for (const WorkloadResult &WR : Workloads) {
-    std::printf("%s (%u threads, %llu events, drain %.1f ms)\n",
-                WR.Profile->Name, WR.Profile->Threads,
-                static_cast<unsigned long long>(WR.Events),
-                WR.DrainSeconds * 1e3);
-    std::printf("  %-9s %12s %14s %9s %10s %7s\n", "analysis", "ns/event",
-                "events/sec", "vs-ref", "peak-KiB", "races");
-    const CellResult *Ref = nullptr;
-    for (const CellResult &C : WR.Cells)
-      if (ReferenceName &&
-          std::strcmp(analysisKindName(C.Kind), ReferenceName) == 0)
-        Ref = &C;
-    for (const CellResult &C : WR.Cells) {
-      char RefBuf[16] = "-";
-      if (Ref && Ref->MedianSeconds > 0)
-        std::snprintf(RefBuf, sizeof(RefBuf), "%.2fx",
-                      C.MedianSeconds / Ref->MedianSeconds);
-      std::printf("  %-9s %12.1f %14.0f %9s %10.0f %7llu\n",
-                  analysisKindName(C.Kind), C.nsPerEvent(), C.eventsPerSec(),
-                  RefBuf, static_cast<double>(C.PeakFootprintBytes) / 1024,
-                  static_cast<unsigned long long>(C.DynamicRaces));
-    }
-  }
 }
 
 } // namespace
@@ -548,22 +943,8 @@ int main(int Argc, char **Argv) {
   if (!parseArgs(Argc, Argv, Opts))
     return 1;
 
-  // Relative costs are reported against FT2 when the selection includes
-  // it (the paper's own baseline); otherwise against the first analysis.
-  const char *ReferenceName = nullptr;
-  for (AnalysisKind K : Opts.Analyses)
-    if (K == AnalysisKind::FT2)
-      ReferenceName = analysisKindName(K);
-  if (!ReferenceName && !Opts.Analyses.empty())
-    ReferenceName = analysisKindName(Opts.Analyses.front());
-
   std::vector<WorkloadResult> Workloads;
-  for (const std::string &Name : Opts.Workloads) {
-    const WorkloadProfile *P = findProfile(Name.c_str());
-    if (!P) {
-      std::fprintf(stderr, "error: unknown workload '%s'\n", Name.c_str());
-      return 1;
-    }
+  for (const WorkloadProfile *P : Opts.Workloads) {
     WorkloadResult WR;
     WR.Profile = P;
     WR.DrainSeconds = measureDrain(*P, Opts);
@@ -579,9 +960,14 @@ int main(int Argc, char **Argv) {
     Workloads.push_back(std::move(WR));
   }
 
-  std::string Report = jsonReport(Opts, Workloads, ReferenceName);
+  std::string Report = jsonReport(Opts, Workloads);
   if (std::strcmp(Opts.OutPath, "-") == 0) {
-    std::fwrite(Report.data(), 1, Report.size(), stdout);
+    size_t Written = std::fwrite(Report.data(), 1, Report.size(), stdout);
+    if (std::fflush(stdout) != 0 || std::ferror(stdout) ||
+        Written != Report.size()) {
+      std::fprintf(stderr, "error: writing - failed\n");
+      return 1;
+    }
   } else {
     FILE *Out = std::fopen(Opts.OutPath, "wb");
     if (!Out) {
@@ -598,6 +984,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "bench: wrote %s\n", Opts.OutPath);
   }
   if (!Opts.Quiet)
-    printTable(Workloads, ReferenceName);
+    Opts.Suite->View(Opts, Workloads);
   return 0;
 }
