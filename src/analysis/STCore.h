@@ -41,6 +41,7 @@
 #include "support/Compiler.h"
 
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace st {
@@ -51,6 +52,19 @@ class STCore : public PolicyCoreBase<Policy, STCore<Policy>> {
 public:
   const char *name() const override { return Policy::STName; }
   size_t metadataFootprintBytes() const override;
+
+  /// Test oracle: recounts every CS cell's references from the roots (the
+  /// active lists, L^w/L^r, shared-read lists and extra metadata) and
+  /// checks them against the pool. Empty when consistent, else the first
+  /// mismatch.
+  std::string checkCSRefs() const;
+
+  /// CS cells in use: zero once every lock is released and no metadata
+  /// names a critical section.
+  size_t liveCSCells() const { return Pool.liveCells(); }
+
+  /// Bytes each variable's metadata adds to the footprint.
+  static constexpr size_t varStateBytes() { return sizeof(VarState); }
 
 protected:
   void onRead(const Event &E) override;
@@ -66,9 +80,9 @@ private:
     Epoch W;                              // last write
     Epoch R;                              // last reads+write (epoch mode)
     std::unique_ptr<VectorClock> RShared; // shared mode
-    CSListRef LW;                         // L^w_x
-    CSListRef LR;                         // L^r_x in epoch mode
-    std::unique_ptr<std::unordered_map<ThreadId, CSListRef>> LRShared;
+    CSRef LW = NoCS;                      // L^w_x
+    CSRef LR = NoCS;                      // L^r_x in epoch mode
+    std::unique_ptr<std::unordered_map<ThreadId, CSRef>> LRShared;
     std::unique_ptr<ExtraMap> Er, Ew;     // E^r_x, E^w_x
   };
 
@@ -91,10 +105,20 @@ private:
   /// Algorithm 3's MultiCheck: walks \p L (owned by thread \p U) outermost
   /// to innermost; joins the release clock of the first critical section on
   /// a lock the current thread holds; performs the race check against
-  /// \p A if nothing subsumed it; returns the residual unmatched sections.
+  /// \p A if nothing subsumed it. Adds the residual unmatched sections
+  /// seen before any such stop to \p Residuals unless it is null.
   /// \p Pt is the current thread's predictive clock.
-  LockClockMap multiCheck(const CSList &L, ThreadId U, Epoch A,
-                          const Event &Ev, VectorClock &Pt);
+  void multiCheck(CSRef L, ThreadId U, Epoch A, const Event &Ev,
+                  VectorClock &Pt, LockClockMap *Residuals);
+
+  /// E[U] := \p Res in extra map \p Extra, dropping the sections it held.
+  void setExtra(ExtraMap &Extra, ThreadId U, LockClockMap &&Res);
+
+  /// Drops the sections \p LM retains.
+  void dropAll(const LockClockMap &LM) {
+    for (const auto &KV : LM)
+      Pool.drop(KV.second);
+  }
 
   /// Joins (into \p Pt) and consumes held-lock entries of \p Extra per
   /// Algorithm 3 lines 19-23 (writes) / 4-6 (reads, \p Consume = false).
@@ -110,16 +134,19 @@ private:
   void applyExtraSlow(ExtraMap &Extra, const Event &Ev, VectorClock &Pt,
                       bool Consume);
 
-  /// Shared snapshot of thread \p T's active CS list, cached per epoch.
-  const CSListRef &snapshotCS(ThreadId T);
+  /// H_t: thread \p T's active CS list.
+  CSRef activeCS(ThreadId T) const {
+    return T < ActiveCS.size() ? ActiveCS[T] : NoCS;
+  }
 
   // Clock state per the PolicyCoreBase contract, ordered so the
   // per-access-hot members share leading cache lines.
   ThreadClockSet Threads;     // H_t (split clocks) or C_t
   PClocksOf<Policy> PThreads; // P_t (split clocks only)
   HeldLockSet Held;
-  std::vector<CSList> ActiveCS;      // H_t's active sections
-  std::vector<CSListRef> CSSnapshot; // per-epoch shared copy
+  CSPool Pool;                 // every CS cell of this analysis
+  std::vector<CSRef> ActiveCS; // each thread's active CS list
+  std::vector<CSRef> Walk;     // multiCheck scratch: a list, innermost first
   std::vector<VarState> Vars;
   std::vector<LockState> Locks;
   ClockMap VolWriteClock, VolReadClock;

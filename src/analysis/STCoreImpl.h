@@ -21,33 +21,8 @@
 
 #include "analysis/Footprint.h"
 
-#include <unordered_set>
-
 namespace st {
 namespace st_core_detail {
-
-/// Charges each shared list buffer and release clock exactly once, however
-/// many variables reference it (lists and clocks are shared snapshots).
-struct SharedFootprint {
-  std::unordered_set<const void *> Seen;
-  size_t Bytes = 0;
-
-  void addList(const CSList &L) {
-    if (!Seen.insert(&L).second)
-      return;
-    Bytes += L.capacity() * sizeof(CSEntry);
-    for (const CSEntry &E : L)
-      addClock(E.C);
-  }
-  void addListRef(const CSListRef &R) {
-    if (R)
-      addList(*R);
-  }
-  void addClock(const std::shared_ptr<VectorClock> &C) {
-    if (C && Seen.insert(C.get()).second)
-      Bytes += sizeof(VectorClock) + C->footprintBytes();
-  }
-};
 
 inline size_t extraFootprint(const ExtraMap &E) {
   size_t N = unorderedFootprint(E);
@@ -60,40 +35,22 @@ inline size_t extraFootprint(const ExtraMap &E) {
 
 template <typename Policy>
 size_t STCore<Policy>::metadataFootprintBytes() const {
-  using st_core_detail::SharedFootprint;
+  // CS lists live in the pool, so a list shared by many variables (and the
+  // clock shared by a section's copies) is counted once, there.
   size_t N = this->baseFootprintBytes() +
              Vars.capacity() * sizeof(VarState) +
-             Locks.capacity() * sizeof(LockState);
-  SharedFootprint Shared;
-  for (const CSList &L : ActiveCS)
-    Shared.addList(L);
-  N += CSSnapshot.capacity() * sizeof(CSListRef);
-  for (const CSListRef &R : CSSnapshot)
-    Shared.addListRef(R);
+             Locks.capacity() * sizeof(LockState) +
+             ActiveCS.capacity() * sizeof(CSRef) + Pool.footprintBytes();
   for (const VarState &V : Vars) {
-    Shared.addListRef(V.LW);
-    Shared.addListRef(V.LR);
     if (V.RShared)
       N += sizeof(VectorClock) + V.RShared->footprintBytes();
-    if (V.LRShared) {
+    if (V.LRShared)
       N += unorderedFootprint(*V.LRShared);
-      for (const auto &KV : *V.LRShared)
-        Shared.addListRef(KV.second);
-    }
-    if (V.Er) {
+    if (V.Er)
       N += st_core_detail::extraFootprint(*V.Er);
-      for (const auto &KV : *V.Er)
-        for (const auto &LC : KV.second)
-          Shared.addClock(LC.second);
-    }
-    if (V.Ew) {
+    if (V.Ew)
       N += st_core_detail::extraFootprint(*V.Ew);
-      for (const auto &KV : *V.Ew)
-        for (const auto &LC : KV.second)
-          Shared.addClock(LC.second);
-    }
   }
-  N += Shared.Bytes;
   for (const LockState &L : Locks) {
     if constexpr (Policy::SplitClocks)
       N += L.HRel.footprintBytes() + L.PRel.footprintBytes();
@@ -103,35 +60,82 @@ size_t STCore<Policy>::metadataFootprintBytes() const {
   return N;
 }
 
+template <typename Policy> std::string STCore<Policy>::checkCSRefs() const {
+  std::vector<uint32_t> Counts(Pool.size());
+  std::string Err;
+  auto Root = [&](CSRef R, const char *What) {
+    if (R == NoCS)
+      return;
+    if (R >= Counts.size() || Pool[R].Depth == 0) {
+      if (Err.empty())
+        Err = std::string(What) + " names free cell " + std::to_string(R);
+      return;
+    }
+    ++Counts[R];
+  };
+  auto Extra = [&](const ExtraMap *E, const char *What) {
+    if (E)
+      for (const auto &KV : *E)
+        for (const auto &LC : KV.second)
+          Root(LC.second, What);
+  };
+  for (CSRef H : ActiveCS)
+    Root(H, "an active list");
+  for (const VarState &V : Vars) {
+    Root(V.LW, "L^w");
+    Root(V.LR, "L^r");
+    if (V.LRShared)
+      for (const auto &KV : *V.LRShared)
+        Root(KV.second, "a shared L^r");
+    Extra(V.Er.get(), "E^r");
+    Extra(V.Ew.get(), "E^w");
+  }
+  if (!Err.empty())
+    return Err;
+  return Pool.verifyRefs(std::move(Counts));
+}
+
 template <typename Policy>
-LockClockMap STCore<Policy>::multiCheck(const CSList &L, ThreadId U, Epoch A,
-                                        const Event &Ev, VectorClock &Pt) {
-  LockClockMap E;
+void STCore<Policy>::multiCheck(CSRef L, ThreadId U, Epoch A,
+                                const Event &Ev, VectorClock &Pt,
+                                LockClockMap *Residuals) {
   // The list owner's accesses are PO-ordered before the current thread's
   // only when they are the same thread; then nothing below applies
   // (DESIGN.md interpretation note 5).
   if (U == Ev.Tid)
-    return E;
-  for (size_t I = L.size(); I-- > 0;) { // tail (outermost) to head
-    const CSEntry &CS = L[I];
+    return;
+  Walk.clear();
+  for (CSRef C = L; C != NoCS; C = Pool[C].Next)
+    Walk.push_back(C);
+  for (size_t I = Walk.size(); I-- > 0;) { // tail (outermost) to head
+    const CSCell &CS = Pool[Walk[I]];
+    const VectorClock &Rel = Pool.clock(Walk[I]);
     // Release ordered before the current access? Subsumes inner sections
     // and the race check (Algorithm 3 line 29). Unreleased sections hold ∞
     // in the owner's entry and never pass.
-    if (CS.C->get(U) <= Pt.get(U))
-      return E;
+    if (Rel.get(U) <= Pt.get(U))
+      return;
     // Conflicting critical sections on a held lock: rule (a); the prior
     // section must have released the lock for us to hold it, so the clock
     // is final (Algorithm 3 lines 30-32). Under split clocks the stored
     // clock holds H at the release — left composition.
     if (Held.holds(Ev.Tid, CS.M)) {
-      Pt.joinWith(*CS.C);
-      return E;
+      Pt.joinWith(Rel);
+      return;
     }
-    E[CS.M] = CS.C; // residual (line 33)
+    if (Residuals) // residual (line 33)
+      Pool.assign((*Residuals)[CS.M], CS.ClockOf);
   }
   if (!A.isNone() && !Pt.epochLeq(A))
     this->reportRace(Ev, A); // line 34
-  return E;
+}
+
+template <typename Policy>
+void STCore<Policy>::setExtra(ExtraMap &Extra, ThreadId U,
+                              LockClockMap &&Res) {
+  LockClockMap &Slot = Extra[U];
+  dropAll(Slot);
+  Slot = std::move(Res);
 }
 
 template <typename Policy>
@@ -141,7 +145,12 @@ void STCore<Policy>::applyExtraSlow(ExtraMap &ExtraRef, const Event &Ev,
   for (auto It = Extra->begin(); It != Extra->end();) {
     if (It->first == Ev.Tid) {
       // Algorithm 3 line 23: the writer's own entries are dropped.
-      It = Consume ? Extra->erase(It) : std::next(It);
+      if (!Consume) {
+        ++It;
+        continue;
+      }
+      dropAll(It->second);
+      It = Extra->erase(It);
       continue;
     }
     LockClockMap &LM = It->second;
@@ -151,30 +160,17 @@ void STCore<Policy>::applyExtraSlow(ExtraMap &ExtraRef, const Event &Ev,
         continue;
       // These sections closed before we could hold M, so the clock is
       // final (never ∞ in any entry).
-      Pt.joinWith(*LIt->second);
-      if (Consume)
+      Pt.joinWith(Pool.clock(LIt->second));
+      if (Consume) {
+        Pool.drop(LIt->second);
         LM.erase(LIt);
+      }
     }
     if (Consume && LM.empty())
       It = Extra->erase(It);
     else
       ++It;
   }
-}
-
-template <typename Policy>
-const CSListRef &STCore<Policy>::snapshotCS(ThreadId T) {
-  if (T >= CSSnapshot.size())
-    CSSnapshot.resize(T + 1);
-  CSListRef &S = CSSnapshot[T];
-  if (!S) {
-    if (T >= ActiveCS.size())
-      ActiveCS.resize(T + 1);
-    // One shared, materialized copy per epoch; every per-variable "copy"
-    // of the active list within this epoch is a pointer assignment.
-    S = std::make_shared<CSList>(materializeCSList(ActiveCS[T], T));
-  }
-  return S;
 }
 
 template <typename Policy> void STCore<Policy>::onRead(const Event &E) {
@@ -195,12 +191,13 @@ template <typename Policy> void STCore<Policy>::onRead(const Event &E) {
   // Algorithm 3 read lines 4-6: consume lost write-CS information.
   applyExtra(V.Ew.get(), E, Pt, /*Consume=*/false);
 
-  const CSListRef &Hcs = snapshotCS(E.Tid);
+  // Recording H_t is Algorithm 3's shallow copy: an index and a count.
+  CSRef Hcs = activeCS(E.Tid);
 
   if (!V.RShared) {
     if (V.R.tid() == E.Tid && !V.R.isNone()) {
       ++Stats.ReadOwned; // [Read Owned]
-      V.LR = Hcs;
+      Pool.assign(V.LR, Hcs);
       V.R = Now;
       return;
     }
@@ -208,20 +205,21 @@ template <typename Policy> void STCore<Policy>::onRead(const Event &E) {
     // section release ordered before this read (Algorithm 3 line 11);
     // otherwise CS information would be lost (Figure 4(b)).
     ThreadId U = V.R.tid();
-    const CSList &LRList = derefCSList(V.LR);
-    bool Ordered = LRList.empty() ? Pt.epochLeq(V.R)
-                                  : LRList.back().C->get(U) <= Pt.get(U);
+    bool Ordered = V.LR == NoCS
+                       ? Pt.epochLeq(V.R)
+                       : Pool.clock(Pool[V.LR].Outer).get(U) <= Pt.get(U);
     if (Ordered) {
       ++Stats.ReadExclusive; // [Read Exclusive]
-      V.LR = Hcs;
+      Pool.assign(V.LR, Hcs);
       V.R = Now;
       return;
     }
     ++Stats.ReadShare; // [Read Share]
-    multiCheck(derefCSList(V.LW), V.W.tid(), V.W, E, Pt);
-    V.LRShared = std::make_unique<std::unordered_map<ThreadId, CSListRef>>();
-    (*V.LRShared)[U] = std::move(V.LR);
-    (*V.LRShared)[E.Tid] = Hcs;
+    multiCheck(V.LW, V.W.tid(), V.W, E, Pt, /*Residuals=*/nullptr);
+    V.LRShared = std::make_unique<std::unordered_map<ThreadId, CSRef>>();
+    (*V.LRShared)[U] = V.LR; // moves L^r_x's reference
+    V.LR = NoCS;
+    Pool.assign((*V.LRShared)[E.Tid], Hcs);
     V.RShared = std::make_unique<VectorClock>();
     V.RShared->set(U, V.R.clock());
     V.RShared->set(E.Tid, Now.clock());
@@ -230,13 +228,13 @@ template <typename Policy> void STCore<Policy>::onRead(const Event &E) {
   }
   if (V.RShared->get(E.Tid) != 0) {
     ++Stats.ReadSharedOwned; // [Read Shared Owned]
-    (*V.LRShared)[E.Tid] = Hcs;
+    Pool.assign((*V.LRShared)[E.Tid], Hcs);
     V.RShared->set(E.Tid, Now.clock());
     return;
   }
   ++Stats.ReadShared; // [Read Shared]
-  multiCheck(derefCSList(V.LW), V.W.tid(), V.W, E, Pt);
-  (*V.LRShared)[E.Tid] = Hcs;
+  multiCheck(V.LW, V.W.tid(), V.W, E, Pt, /*Residuals=*/nullptr);
+  Pool.assign((*V.LRShared)[E.Tid], Hcs);
   V.RShared->set(E.Tid, Now.clock());
 }
 
@@ -257,7 +255,21 @@ template <typename Policy> void STCore<Policy>::onWrite(const Event &E) {
   applyExtra(V.Er.get(), E, Pt, /*Consume=*/true);
   applyExtra(V.Ew.get(), E, Pt, /*Consume=*/true);
 
-  const CSListRef &Hcs = snapshotCS(E.Tid);
+  // Keeps the residuals of thread U's sections as E^r_x(U), and those of
+  // the last write's sections as E^w_x(U).
+  auto KeepResiduals = [&](ThreadId U, LockClockMap &&Res, bool WithWrite) {
+    if (!V.Er)
+      V.Er = std::make_unique<ExtraMap>();
+    if (!V.Ew)
+      V.Ew = std::make_unique<ExtraMap>();
+    setExtra(*V.Er, U, std::move(Res));
+    if (!WithWrite)
+      return;
+    LockClockMap WRes;
+    multiCheck(V.LW, V.W.tid(), Epoch::none(), E, Pt, &WRes);
+    if (!WRes.empty())
+      setExtra(*V.Ew, U, std::move(WRes));
+  };
 
   if (!V.RShared) {
     if (V.R.tid() == E.Tid && !V.R.isNone()) {
@@ -265,18 +277,10 @@ template <typename Policy> void STCore<Policy>::onWrite(const Event &E) {
     } else {
       ++Stats.WriteExclusive; // [Write Exclusive]
       ThreadId U = V.R.tid();
-      LockClockMap Res = multiCheck(derefCSList(V.LR), U, V.R, E, Pt);
-      if (!Res.empty()) {
-        if (!V.Er)
-          V.Er = std::make_unique<ExtraMap>();
-        if (!V.Ew)
-          V.Ew = std::make_unique<ExtraMap>();
-        (*V.Er)[U] = std::move(Res);
-        LockClockMap WRes =
-            multiCheck(derefCSList(V.LW), V.W.tid(), Epoch::none(), E, Pt);
-        if (!WRes.empty())
-          (*V.Ew)[U] = std::move(WRes);
-      }
+      LockClockMap Res;
+      multiCheck(V.LR, U, V.R, E, Pt, &Res);
+      if (!Res.empty())
+        KeepResiduals(U, std::move(Res), /*WithWrite=*/true);
     }
   } else {
     ++Stats.WriteShared; // [Write Shared]
@@ -287,29 +291,23 @@ template <typename Policy> void STCore<Policy>::onWrite(const Event &E) {
       Epoch A = Epoch::make(U, V.RShared->get(U));
       if (A.clock() == 0)
         A = Epoch::none();
-      LockClockMap Res = multiCheck(derefCSList(KV.second), U, A, E, Pt);
+      LockClockMap Res;
+      multiCheck(KV.second, U, A, E, Pt, &Res);
       if (Res.empty())
         continue;
-      if (!V.Er)
-        V.Er = std::make_unique<ExtraMap>();
-      if (!V.Ew)
-        V.Ew = std::make_unique<ExtraMap>();
-      (*V.Er)[U] = std::move(Res);
       // Line 35: the last write's CS list matters for the thread that owns
       // the last write (interpretation note 7).
-      if (U == V.W.tid() && !V.W.isNone()) {
-        LockClockMap WRes =
-            multiCheck(derefCSList(V.LW), V.W.tid(), Epoch::none(), E, Pt);
-        if (!WRes.empty())
-          (*V.Ew)[U] = std::move(WRes);
-      }
+      KeepResiduals(U, std::move(Res), U == V.W.tid() && !V.W.isNone());
     }
+    for (const auto &KV : *V.LRShared)
+      Pool.drop(KV.second);
     V.LRShared.reset();
     V.RShared.reset();
   }
 
-  V.LW = Hcs; // line 36
-  V.LR = Hcs;
+  CSRef Hcs = activeCS(E.Tid);
+  Pool.assign(V.LW, Hcs); // line 36
+  Pool.assign(V.LR, Hcs);
   V.W = Now; // line 37
   V.R = Now;
 }
@@ -331,11 +329,9 @@ template <typename Policy> void STCore<Policy>::onAcquire(const Event &E) {
   // Lines 3-5: push a new critical section whose release clock is not yet
   // known; ∞ in the owner's entry makes ordering queries fail until then.
   if (E.Tid >= ActiveCS.size())
-    ActiveCS.resize(E.Tid + 1);
-  CSList &H = ActiveCS[E.Tid];
-  H.insert(H.begin(), CSEntry{nullptr, E.lock()}); // clock made on demand
-  if (E.Tid < CSSnapshot.size())
-    CSSnapshot[E.Tid].reset();
+    ActiveCS.resize(E.Tid + 1, NoCS);
+  CSRef &H = ActiveCS[E.Tid];
+  H = Pool.cons(E.lock(), E.Tid, H);
   Held.pushLock(E.Tid, E.lock());
   Ht.increment(E.Tid); // line 6
 }
@@ -359,21 +355,12 @@ template <typename Policy> void STCore<Policy>::onRelease(const Event &E) {
   // HB time under split clocks, for left composition when another
   // thread's MultiCheck joins this section) and pop the section.
   assert(E.Tid < ActiveCS.size() && "release on thread with no sections");
-  CSList &H = ActiveCS[E.Tid];
-  for (size_t I = 0, N = H.size(); I != N; ++I) {
-    if (H[I].M == E.lock()) {
-      if (H[I].C)
-        *H[I].C = Ht; // deferred update; null means never shared
-      H.erase(H.begin() + static_cast<long>(I));
-      break;
-    }
-  }
+  if (E.Tid < ActiveCS.size())
+    ActiveCS[E.Tid] = Pool.close(ActiveCS[E.Tid], E.lock(), Ht);
   if constexpr (Policy::SplitClocks) {
     L.HRel = Ht;
     L.PRel = Pt;
   }
-  if (E.Tid < CSSnapshot.size())
-    CSSnapshot[E.Tid].reset();
   Held.popLock(E.Tid, E.lock());
   Ht.increment(E.Tid); // line 16
 }

@@ -8,15 +8,19 @@
 // subtle — fails here even if the cross-analysis agreement properties in
 // PropertyTest.cpp still hold.
 //
+// Workload 3 was added later; its goldens were captured from the
+// shared-pointer CS-list STCore that the pooled cons-cell lists replaced.
+//
 // If a deliberate semantic change invalidates a golden, re-derive it by
-// running the three configs below through the registry and update the
-// table in the same commit that changes the behavior.
+// running the configs (GoldenConfigs.h) through the registry and update
+// the table in the same commit that changes the behavior.
 //
 //===----------------------------------------------------------------------===//
 
+#include "GoldenConfigs.h"
+
 #include "analysis/AnalysisRegistry.h"
 #include "graph/EdgeRecorder.h"
-#include "workload/RandomTrace.h"
 
 #include <gtest/gtest.h>
 
@@ -25,45 +29,6 @@
 using namespace st;
 
 namespace {
-
-/// The three frozen workload shapes: lock-heavy (CS metadata hot),
-/// fork/join + volatiles (hard-edge handling), wide and write-heavy.
-RandomTraceConfig goldenConfig(unsigned I) {
-  RandomTraceConfig C;
-  switch (I) {
-  case 0:
-    C.Seed = 1009;
-    C.Threads = 4;
-    C.Vars = 6;
-    C.Locks = 3;
-    C.Events = 600;
-    C.MaxNesting = 2;
-    C.PSync = 0.45;
-    break;
-  case 1:
-    C.Seed = 424242;
-    C.Threads = 5;
-    C.Vars = 4;
-    C.Locks = 2;
-    C.Volatiles = 1;
-    C.PVolatile = 0.1;
-    C.Events = 500;
-    C.ForkJoin = true;
-    C.PSync = 0.35;
-    break;
-  default:
-    C.Seed = 77;
-    C.Threads = 8;
-    C.Vars = 10;
-    C.Locks = 4;
-    C.Events = 800;
-    C.MaxNesting = 3;
-    C.PSync = 0.3;
-    C.PWrite = 0.7;
-    break;
-  }
-  return C;
-}
 
 struct Golden {
   unsigned Workload;
@@ -124,6 +89,28 @@ const Golden Goldens[] = {
     {2, "Unopt-WDC w/G", 449, 10, {}},
     {2, "FTO-WDC", 594, 10, {8, 17, 46, 5, 4, 2, 122, 45, 6, 321, 120}},
     {2, "ST-WDC", 595, 10, {8, 17, 46, 5, 4, 2, 122, 45, 6, 321, 120}},
+    // workload 3 (20005 events; captured before the cons-cell CS lists)
+    {3, "Unopt-HB", 11783, 50, {}},
+    {3, "FT2", 10945, 50, {}},
+    {3, "FTO-HB", 10729, 50,
+     {245, 293, 259, 341, 788, 604, 3364, 2314, 287, 3972, 3344}},
+    {3, "Unopt-WCP", 13124, 50, {}},
+    {3, "FTO-WCP", 11957, 50,
+     {234, 304, 259, 322, 846, 298, 3516, 2429, 270, 3837, 3496}},
+    {3, "ST-WCP", 12029, 50,
+     {233, 305, 259, 315, 862, 192, 3571, 2471, 268, 3784, 3551}},
+    {3, "Unopt-DC", 14329, 50, {}},
+    {3, "Unopt-DC w/G", 14329, 50, {}},
+    {3, "FTO-DC", 12631, 50,
+     {231, 307, 259, 318, 859, 190, 3569, 2475, 265, 3790, 3548}},
+    {3, "ST-DC", 12666, 50,
+     {229, 309, 259, 312, 873, 95, 3621, 2510, 264, 3739, 3600}},
+    {3, "Unopt-WDC", 14336, 50, {}},
+    {3, "Unopt-WDC w/G", 14336, 50, {}},
+    {3, "FTO-WDC", 12639, 50,
+     {230, 308, 259, 318, 859, 189, 3570, 2475, 265, 3789, 3549}},
+    {3, "ST-WDC", 12674, 50,
+     {228, 310, 259, 312, 873, 94, 3622, 2510, 264, 3738, 3601}},
 };
 
 class LadderGolden : public ::testing::TestWithParam<unsigned> {};
@@ -164,6 +151,7 @@ TEST_P(LadderGolden, RegistryMatchesFrozenBehavior) {
   EXPECT_EQ(Checked, allAnalysisKinds().size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Workloads, LadderGolden, ::testing::Values(0, 1, 2));
+INSTANTIATE_TEST_SUITE_P(Workloads, LadderGolden,
+                         ::testing::Range(0u, NumGoldenConfigs));
 
 } // namespace
