@@ -24,6 +24,12 @@ size_t TraceEventSource::read(Event *Buf, size_t Max) {
   return N;
 }
 
+TextEventSource::TextEventSource(ByteSource &Bytes, bool Validate,
+                                 size_t BufferBytes)
+    : Parser(Bytes, BufferBytes), Validate(Validate) {
+  Checker.engine().setNames(&Parser);
+}
+
 size_t TextEventSource::read(Event *Buf, size_t Max) {
   if (Bad)
     return 0;
@@ -114,12 +120,6 @@ size_t CapturingEventSource::read(Event *Buf, size_t Max) {
   size_t N = Inner.read(Buf, Max);
   Captured.insert(Captured.end(), Buf, Buf + N);
   return N;
-}
-
-const TraceTextParser *OpenedEventSource::textParser() const {
-  if (Format != TraceFormat::Text)
-    return nullptr;
-  return &static_cast<const TextEventSource *>(Events.get())->parser();
 }
 
 const StbHeader *OpenedEventSource::stbHeader() const {

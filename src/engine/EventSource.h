@@ -48,6 +48,11 @@ public:
     (void)Msg;
     return false;
   }
+
+  /// The text parser decoding this stream, whose name tables spell its
+  /// ids in lint messages and race reports; null for every input that is
+  /// not the text DSL. May turn non-null only after the first read().
+  virtual const TraceTextParser *textParser() const { return nullptr; }
 };
 
 /// Id-space maxima and event count of a streamed trace, the streaming
@@ -110,13 +115,14 @@ private:
 class TextEventSource : public EventSource {
 public:
   explicit TextEventSource(ByteSource &Bytes, bool Validate = true,
-                           size_t BufferBytes = DefaultIoBufferBytes)
-      : Parser(Bytes, BufferBytes), Validate(Validate) {}
+                           size_t BufferBytes = DefaultIoBufferBytes);
+  // The checker's engine points at Parser.
+  TextEventSource(const TextEventSource &) = delete;
+  TextEventSource &operator=(const TextEventSource &) = delete;
 
   size_t read(Event *Buf, size_t Max) override;
   bool error(std::string *Msg = nullptr) const override;
-
-  const TraceTextParser &parser() const { return Parser; }
+  const TraceTextParser *textParser() const override { return &Parser; }
 
 private:
   TraceTextParser Parser;
@@ -189,7 +195,7 @@ struct OpenedEventSource {
 
   /// Thread/var/lock/volatile names interned so far (text inputs only;
   /// null for STB). Valid to call during and after streaming.
-  const TraceTextParser *textParser() const;
+  const TraceTextParser *textParser() const { return Events->textParser(); }
   /// STB header (STB inputs only; null for text).
   const StbHeader *stbHeader() const;
 };

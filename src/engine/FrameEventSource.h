@@ -85,9 +85,8 @@ public:
     return Payload.firstEventsAt(Out);
   }
 
-  /// The text parser when the upload sniffed as text (for symbol tables);
-  /// null before the first read and for STB uploads.
-  const TraceTextParser *textParser() const {
+  /// Null before the first read and for STB uploads.
+  const TraceTextParser *textParser() const override {
     return Opened ? Open.textParser() : nullptr;
   }
 

@@ -82,7 +82,8 @@ struct LintDiagnostic {
   uint32_t Line = 0;
   /// Byte offset of the offending event (binary inputs; 0 when unknown).
   uint64_t Byte = 0;
-  /// Human-readable description, canonical T<id>/m<id>/x<id> spellings.
+  /// Human-readable description. Ids are spelled with the source's names
+  /// when it has them (LintEngine::setNames), else as T<id>/m<id>/x<id>.
   std::string Message;
 
   bool streamLevel() const { return EventIdx == UINT64_MAX; }

@@ -32,6 +32,7 @@ namespace st {
 
 class LintEngine;
 class Trace;
+class TraceTextParser;
 
 /// Advisory id-space sizes declared by the input (the STB header); all
 /// zero when the input declares nothing. Rules that check declarations
@@ -94,6 +95,13 @@ public:
   void setDeclared(const LintDeclared &D) { Declared = D; }
   const LintDeclared &declared() const { return Declared; }
 
+  /// Name tables rule messages spell ids with: the text parser's
+  /// thread, variable, lock and volatile names. Null (STB and in-memory
+  /// inputs) spells the canonical T<id>/x<id>/m<id>/v<id>. Not owned;
+  /// read only while a rule reports.
+  void setNames(const TraceTextParser *P) { Names = P; }
+  const TraceTextParser *names() const { return Names; }
+
   /// Provenance attached to diagnostics for subsequently processed
   /// events: the decoder's current source line (text) and byte offset
   /// (binary). Zero means unknown.
@@ -153,6 +161,7 @@ private:
   std::vector<LintDiagnostic> Diags;
   std::function<void(const LintDiagnostic &)> Callback;
   LintDeclared Declared;
+  const TraceTextParser *Names = nullptr;
   const Event *CurEvent = nullptr;
   uint64_t Events = 0;
   uint32_t CurLine = 0;

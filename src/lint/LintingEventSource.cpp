@@ -12,6 +12,9 @@ size_t LintingEventSource::read(Event *Buf, size_t Max) {
   if (Done)
     return 0;
   size_t N = Inner.read(Buf, Max);
+  // A framed upload assembles its decoder on the first read, so the
+  // names can only be picked up here.
+  Eng.setNames(Inner.textParser());
   if (N == 0) {
     Done = true;
     std::string InnerMsg;

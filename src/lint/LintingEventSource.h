@@ -31,6 +31,7 @@ class LintingEventSource : public EventSource {
 public:
   /// The engine must outlive the source; rules are registered by the
   /// caller (Session registers the full set, tests register subsets).
+  /// The engine's names are set from Inner.textParser() on every read.
   LintingEventSource(EventSource &Inner, LintEngine &Eng, bool Reject)
       : Inner(Inner), Eng(Eng), Reject(Reject) {}
 

@@ -16,6 +16,7 @@
 #include "lint/Lint.h"
 
 #include "support/DenseIdSet.h"
+#include "trace/TraceText.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -24,37 +25,42 @@ using namespace st;
 
 namespace {
 
-/// "T1 rel(m0)" — canonical event spelling used in rule messages.
-std::string describeEvent(const Event &E) {
-  char Prefix = '?';
+/// A thread as rule messages spell it: its source name, or "T<id>".
+std::string describeThread(ThreadId T, const LintEngine &Eng) {
+  const TraceTextParser *P = Eng.names();
+  return symbolOrId(P ? &P->threadNames() : nullptr, T, 'T');
+}
+
+/// A lock as rule messages spell it: its source name, or "m<id>".
+std::string describeLock(LockId M, const LintEngine &Eng) {
+  const TraceTextParser *P = Eng.names();
+  return symbolOrId(P ? &P->lockNames() : nullptr, M, 'm');
+}
+
+/// "T1 rel(m0)": the event as rule messages spell it.
+std::string describeEvent(const Event &E, const LintEngine &Eng) {
+  const TraceTextParser *P = Eng.names();
+  std::string Target;
   switch (E.Kind) {
   case EventKind::Read:
   case EventKind::Write:
-    Prefix = 'x';
+    Target = symbolOrId(P ? &P->varNames() : nullptr, E.Target, 'x');
     break;
   case EventKind::Acquire:
   case EventKind::Release:
-    Prefix = 'm';
+    Target = describeLock(E.Target, Eng);
     break;
   case EventKind::VolRead:
   case EventKind::VolWrite:
-    Prefix = 'v';
+    Target = symbolOrId(P ? &P->volatileNames() : nullptr, E.Target, 'v');
     break;
   case EventKind::Fork:
   case EventKind::Join:
-    Prefix = 'T';
+    Target = describeThread(E.Target, Eng);
     break;
   }
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "T%u %s(%c%u)", E.Tid,
-                eventKindName(E.Kind), Prefix, E.Target);
-  return Buf;
-}
-
-std::string describeThread(ThreadId T) {
-  char Buf[16];
-  std::snprintf(Buf, sizeof(Buf), "T%u", T);
-  return Buf;
+  return describeThread(E.Tid, Eng) + ' ' + eventKindName(E.Kind) + '(' +
+         Target + ')';
 }
 
 //===----------------------------------------------------------------------===//
@@ -70,7 +76,7 @@ public:
   void onEvent(const Event &E, LintEngine &Eng) override {
     if (E.Tid >= LintEngine::MaxCheckableIds) {
       Eng.report(LintCode::IdOutOfRange,
-                 describeEvent(E) +
+                 describeEvent(E, Eng) +
                      ": thread id out of range (ids must be dense)");
       return;
     }
@@ -95,14 +101,14 @@ public:
     }
     if (E.Target >= LintEngine::MaxCheckableIds) {
       Eng.report(LintCode::IdOutOfRange,
-                 describeEvent(E) + ": " + Space +
+                 describeEvent(E, Eng) + ": " + Space +
                      " id out of range (ids must be dense)");
       return;
     }
     if (isAccess(E.Kind) && E.Site != InvalidId &&
         E.Site >= LintEngine::MaxCheckableIds)
       Eng.report(LintCode::IdOutOfRange,
-                 describeEvent(E) +
+                 describeEvent(E, Eng) +
                      ": site id out of range (ids must be dense)");
   }
 };
@@ -124,16 +130,16 @@ public:
     if (E.Kind == EventKind::Acquire) {
       if (Holder[M] != InvalidId)
         Eng.report(LintCode::AcquireHeld,
-                   describeEvent(E) +
+                   describeEvent(E, Eng) +
                        ": acquire of a held lock (no reentrancy; held by " +
-                       describeThread(Holder[M]) + ")");
+                       describeThread(Holder[M], Eng) + ")");
       // Recover by handing the lock to the acquirer, so a later release
       // by it is not a spurious second violation.
       Holder[M] = E.Tid;
     } else {
       if (Holder[M] != E.Tid)
         Eng.report(LintCode::ReleaseUnheld,
-                   describeEvent(E) +
+                   describeEvent(E, Eng) +
                        ": release of a lock the thread does not hold");
       Holder[M] = InvalidId;
     }
@@ -160,7 +166,7 @@ public:
     }
     if (Joined[E.Tid]) {
       Eng.report(LintCode::RunAfterJoin,
-                 describeEvent(E) + ": thread runs after being joined");
+                 describeEvent(E, Eng) + ": thread runs after being joined");
       return;
     }
     Started[E.Tid] = 1; // unforked root threads are permitted
@@ -168,12 +174,12 @@ public:
       ThreadId C = E.childTid();
       if (C == E.Tid) {
         Eng.report(LintCode::SelfForkJoin,
-                   describeEvent(E) + ": thread forks itself");
+                   describeEvent(E, Eng) + ": thread forks itself");
         return;
       }
       if (Started[C] || Forked[C]) {
         Eng.report(LintCode::ForkOfStarted,
-                   describeEvent(E) +
+                   describeEvent(E, Eng) +
                        ": fork of a thread that already ran or was forked");
         return;
       }
@@ -182,12 +188,12 @@ public:
       ThreadId C = E.childTid();
       if (C == E.Tid) {
         Eng.report(LintCode::SelfForkJoin,
-                   describeEvent(E) + ": thread joins itself");
+                   describeEvent(E, Eng) + ": thread joins itself");
         return;
       }
       if (Joined[C]) {
         Eng.report(LintCode::DoubleJoin,
-                   describeEvent(E) + ": thread joined twice");
+                   describeEvent(E, Eng) + ": thread joined twice");
         return;
       }
       Joined[C] = 1;
@@ -222,11 +228,9 @@ public:
   void onEnd(LintEngine &Eng) override {
     for (LockId M = 0; M != Holder.size(); ++M)
       if (Holder[M] != InvalidId) {
-        char Buf[64];
-        std::snprintf(Buf, sizeof(Buf),
-                      "m%u still held by T%u at end of stream", M,
-                      Holder[M]);
-        Eng.report(LintCode::LockHeldAtEnd, Buf);
+        Eng.report(LintCode::LockHeldAtEnd,
+                   describeLock(M, Eng) + " still held by " +
+                       describeThread(Holder[M], Eng) + " at end of stream");
       }
   }
 
@@ -258,11 +262,9 @@ public:
   void onEnd(LintEngine &Eng) override {
     for (ThreadId T = 0; T != ForkedAt.size(); ++T)
       if (ForkedAt[T] != UINT64_MAX && ForkedAt[T] != JoinedMark) {
-        char Buf[80];
-        std::snprintf(Buf, sizeof(Buf),
-                      "T%u forked at event %llu but never joined", T,
-                      static_cast<unsigned long long>(ForkedAt[T]));
-        Eng.report(LintCode::UnjoinedThread, Buf);
+        Eng.report(LintCode::UnjoinedThread,
+                   describeThread(T, Eng) + " forked at event " +
+                       std::to_string(ForkedAt[T]) + " but never joined");
       }
   }
 
@@ -284,7 +286,7 @@ public:
       Pending.resize(E.Tid + 1, InvalidId);
     if (E.Kind == EventKind::Release && Pending[E.Tid] == E.lock())
       Eng.report(LintCode::EmptyCriticalSection,
-                 describeEvent(E) + ": empty critical section");
+                 describeEvent(E, Eng) + ": empty critical section");
     Pending[E.Tid] =
         E.Kind == EventKind::Acquire ? E.lock() : InvalidId;
   }
@@ -320,7 +322,7 @@ private:
     std::snprintf(Buf, sizeof(Buf),
                   "id %u is used as both a volatile and a data variable",
                   E.Target);
-    Eng.report(LintCode::VolatileDataAlias, describeEvent(E) + ": " + Buf);
+    Eng.report(LintCode::VolatileDataAlias, describeEvent(E, Eng) + ": " + Buf);
   }
 
   DenseIdSet Data, Vol, Reported;
@@ -344,7 +346,7 @@ public:
                   ": site %u is outside the declared site table (%llu "
                   "sites)",
                   E.Site, static_cast<unsigned long long>(Declared));
-    Eng.report(LintCode::SiteOutOfTable, describeEvent(E) + Buf);
+    Eng.report(LintCode::SiteOutOfTable, describeEvent(E, Eng) + Buf);
   }
 
 private:

@@ -16,13 +16,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
-#include <sys/time.h>
 
 namespace st {
 
@@ -106,16 +104,6 @@ void drainFrames(int Fd, SteadyClock::time_point Start, ReaderState &RS) {
   }
   if (R < 0 || SockIn.error())
     RS.SawError = true;
-}
-
-void setRecvTimeout(int Fd, double Seconds) {
-  if (Seconds <= 0)
-    return;
-  struct timeval Tv;
-  Tv.tv_sec = static_cast<time_t>(Seconds);
-  Tv.tv_usec = static_cast<suseconds_t>(
-      (Seconds - static_cast<double>(Tv.tv_sec)) * 1e6);
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
 }
 
 void runWorker(const LoadgenOptions &Opts, const ServeAddress &Addr,

@@ -6,6 +6,8 @@
 
 #include "report/RaceSink.h"
 
+#include "trace/TraceText.h"
+
 #include <cstdio>
 
 using namespace st;
@@ -16,13 +18,6 @@ std::string st::raceSiteString(const RaceReport &R) {
                 R.Provenance == SiteProvenance::Explicit ? "line" : "var",
                 R.Site);
   return Buf;
-}
-
-std::string st::symbolOrId(const std::vector<std::string> *Names,
-                           uint32_t Id, char Prefix) {
-  if (Names && Id < Names->size())
-    return (*Names)[Id];
-  return Prefix + std::to_string(Id);
 }
 
 namespace {

@@ -78,12 +78,6 @@ struct RaceReport {
 /// canonical human/JSON spelling shared by every reporter.
 std::string raceSiteString(const RaceReport &R);
 
-/// Names[Id] when the table is present and in range, else the canonical
-/// "<Prefix><Id>" spelling ("T3", "x7") — the shared id-to-symbol
-/// formatter for thread/variable ids.
-std::string symbolOrId(const std::vector<std::string> *Names, uint32_t Id,
-                       char Prefix);
-
 /// Abstract push-based race consumer. onRace() is called once per counted
 /// dynamic race (reports are already deduplicated per access event by the
 /// producing analysis), in stream order for that analysis, synchronously

@@ -85,11 +85,6 @@ struct SessionOptions {
   /// options struct carries the whole per-stream budget — st-serve sizes
   /// per-connection decode buffers from it.
   size_t IoBufferBytes = DefaultIoBufferBytes;
-  /// Cap on streamed race lines per analysis for consumers that attach a
-  /// line-oriented sink (NdjsonSink::setMaxRacesPerAnalysis, the serving
-  /// layer's FrameSink). SIZE_MAX means unlimited; counting sinks are
-  /// never affected.
-  size_t MaxRaceLines = SIZE_MAX;
   /// Invoked at the engine's per-batch quiet point: the next batch is
   /// fully decoded and about to be handed to the analyses, and neither
   /// the decoder nor any worker thread is running. Decoder-owned state

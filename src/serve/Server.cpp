@@ -14,13 +14,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <functional>
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 using namespace st;
@@ -67,6 +65,9 @@ public:
   bool error(std::string *Msg = nullptr) const override {
     return Inner.error(Msg);
   }
+  const TraceTextParser *textParser() const override {
+    return Inner.textParser();
+  }
 
   bool breached() const { return Breached; }
   const std::string &breachCode() const { return Code; }
@@ -88,18 +89,6 @@ private:
   bool Breached = false;
   std::string Code, Reason;
 };
-
-void setRecvTimeout(int Fd, double Seconds) {
-  if (Seconds <= 0)
-    return;
-  timeval Tv;
-  Tv.tv_sec = static_cast<time_t>(Seconds);
-  Tv.tv_usec = static_cast<suseconds_t>(
-      (Seconds - std::floor(Seconds)) * 1e6);
-  if (Tv.tv_sec == 0 && Tv.tv_usec == 0)
-    Tv.tv_usec = 1;
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-}
 
 /// How one connection ended; each maps to exactly one ServerStats bucket.
 enum class Outcome { Completed, Evicted, Rejected, Protocol };
@@ -307,8 +296,10 @@ void Server::handleConnection(int Fd) {
     SO.Validation = static_cast<ValidationMode>(Hello.Validation);
     if (Hello.BatchSize)
       SO.BatchSize = static_cast<size_t>(Hello.BatchSize);
-    if (Hello.MaxRaceLines != UINT64_MAX)
-      SO.MaxRaceLines = static_cast<size_t>(Hello.MaxRaceLines);
+    // Cap on RACE frames per analysis; SIZE_MAX means unlimited.
+    size_t MaxRaceLines = Hello.MaxRaceLines == UINT64_MAX
+                              ? SIZE_MAX
+                              : static_cast<size_t>(Hello.MaxRaceLines);
     if (Hello.MaxDiags)
       SO.MaxStoredDiagnostics = static_cast<size_t>(Hello.MaxDiags);
 
@@ -316,9 +307,7 @@ void Server::handleConnection(int Fd) {
     for (AnalysisKind K : Kinds)
       Accepted.Analyses.push_back(analysisKindName(K));
     Accepted.Validation = Hello.Validation;
-    Accepted.MaxRaceLines = SO.MaxRaceLines == SIZE_MAX
-                                ? UINT64_MAX
-                                : static_cast<uint64_t>(SO.MaxRaceLines);
+    Accepted.MaxRaceLines = Hello.MaxRaceLines;
     Accepted.BatchSize = SO.BatchSize;
     Accepted.MaxDiags = SO.MaxStoredDiagnostics;
     Writer.write(FrameType::Hello, encodeHello(Accepted));
@@ -346,7 +335,7 @@ void Server::handleConnection(int Fd) {
     for (AnalysisKind K : Kinds)
       Sess.add(K);
     FrameSink Races(Writer);
-    Races.setMaxRacesPerAnalysis(SO.MaxRaceLines);
+    Races.setMaxRacesPerAnalysis(MaxRaceLines);
     Sess.addSink(Races);
     FrameEventSource Events(Reader,
                             /*Validate=*/SO.Validation == ValidationMode::Off,

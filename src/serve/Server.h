@@ -45,8 +45,8 @@
 namespace st {
 
 /// Server configuration. Session carries the per-connection defaults a
-/// client HELLO may override (validation, batch size, race-line and
-/// diagnostic caps) within the limits here.
+/// client HELLO may override (validation, batch size, diagnostic cap)
+/// within the limits here; the race-line cap comes from HELLO alone.
 struct ServerOptions {
   /// Worker threads, i.e. connections analyzed concurrently; further
   /// accepted connections queue until a worker frees up.

@@ -12,6 +12,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -230,4 +231,16 @@ int st::connectServeAddress(const ServeAddress &A, std::string *Err) {
 void st::closeFd(int Fd) {
   if (Fd >= 0)
     ::close(Fd);
+}
+
+void st::setRecvTimeout(int Fd, double Seconds) {
+  if (Seconds <= 0)
+    return;
+  timeval Tv;
+  Tv.tv_sec = static_cast<time_t>(Seconds);
+  Tv.tv_usec = static_cast<suseconds_t>(
+      (Seconds - static_cast<double>(Tv.tv_sec)) * 1e6);
+  if (Tv.tv_sec == 0 && Tv.tv_usec == 0)
+    Tv.tv_usec = 1;
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
 }

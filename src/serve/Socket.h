@@ -90,6 +90,17 @@ int connectServeAddress(const ServeAddress &Addr, std::string *Err);
 /// close() tolerant of EINTR and -1.
 void closeFd(int Fd);
 
+/// The largest receive timeout or wall-time budget the CLIs accept, in
+/// seconds (about 11.6 days): far below where the steady_clock deadline
+/// arithmetic or the timeval conversion would overflow.
+inline constexpr double MaxTimeoutSeconds = 1e6;
+
+/// Sets \p Fd's receive timeout (SO_RCVTIMEO). A positive \p Seconds
+/// rounds up to at least 1 us, so it never turns into "no timeout";
+/// Seconds <= 0 leaves the socket without one. \p Seconds must be at
+/// most MaxTimeoutSeconds.
+void setRecvTimeout(int Fd, double Seconds);
+
 } // namespace st
 
 #endif // SMARTTRACK_SERVE_SOCKET_H

@@ -252,13 +252,11 @@ Trace st::traceFromText(std::string_view Text) {
   return std::move(P.Tr);
 }
 
-static std::string nameOrNumber(const std::vector<std::string> *Names,
-                                const char *Prefix, uint32_t Id) {
+std::string st::symbolOrId(const std::vector<std::string> *Names,
+                           uint32_t Id, char Prefix) {
   if (Names && Id < Names->size())
     return (*Names)[Id];
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%s%u", Prefix, Id);
-  return Buf;
+  return Prefix + std::to_string(Id);
 }
 
 bool st::printTraceTextEvent(const Event &E, ByteSink &Sink,
@@ -266,26 +264,26 @@ bool st::printTraceTextEvent(const Event &E, ByteSink &Sink,
                              const std::vector<std::string> *VarNames,
                              const std::vector<std::string> *LockNames,
                              const std::vector<std::string> *VolNames) {
-  std::string Out = nameOrNumber(ThreadNames, "T", E.Tid);
+  std::string Out = symbolOrId(ThreadNames, E.Tid, 'T');
   Out += ": ";
   Out += eventKindName(E.Kind);
   Out += '(';
   switch (E.Kind) {
   case EventKind::Read:
   case EventKind::Write:
-    Out += nameOrNumber(VarNames, "x", E.Target);
+    Out += symbolOrId(VarNames, E.Target, 'x');
     break;
   case EventKind::Acquire:
   case EventKind::Release:
-    Out += nameOrNumber(LockNames, "m", E.Target);
+    Out += symbolOrId(LockNames, E.Target, 'm');
     break;
   case EventKind::VolRead:
   case EventKind::VolWrite:
-    Out += nameOrNumber(VolNames, "v", E.Target);
+    Out += symbolOrId(VolNames, E.Target, 'v');
     break;
   case EventKind::Fork:
   case EventKind::Join:
-    Out += nameOrNumber(ThreadNames, "T", E.Target);
+    Out += symbolOrId(ThreadNames, E.Target, 'T');
     break;
   }
   Out += ")\n";

@@ -64,6 +64,12 @@ private:
   std::vector<uint32_t> Index; // open addressing; InvalidId = empty slot
 };
 
+/// Names[Id] when the table is present and in range, else the canonical
+/// "<Prefix><Id>" spelling ("T3", "x7") — the one id-to-symbol formatter
+/// for printed traces, race reports and lint messages.
+std::string symbolOrId(const std::vector<std::string> *Names, uint32_t Id,
+                       char Prefix);
+
 /// Streaming parser for the trace DSL. Pulls bytes from a ByteSource and
 /// produces events one at a time; memory stays proportional to the symbol
 /// tables plus the longest source line, never the trace length.

@@ -130,8 +130,8 @@ TEST(TextEventSourceTest, MatchesMaterializingParserAtAnyChunkSize) {
       EXPECT_TRUE(Got[I] == Expected.Tr[I]) << "event " << I;
       EXPECT_EQ(Got[I].Site, Expected.Tr[I].Site) << "site of event " << I;
     }
-    EXPECT_EQ(Src.parser().threadNames(), Expected.ThreadNames);
-    EXPECT_EQ(Src.parser().varNames(), Expected.VarNames);
+    EXPECT_EQ(Src.textParser()->threadNames(), Expected.ThreadNames);
+    EXPECT_EQ(Src.textParser()->varNames(), Expected.VarNames);
   }
 }
 

@@ -166,6 +166,29 @@ TEST(AnalyzeCli, ParseErrorReportsLineAndFails) {
   EXPECT_NE(R.Output.find("parse error"), std::string::npos) << R.Output;
 }
 
+TEST(AnalyzeCli, ValidationMessagesSpellTheSourceNames) {
+  // T5/m7/T9/m3 intern as dense ids 0/0/1/1; the lint pass and the
+  // unvalidated parse error must both print the names from the trace.
+  const std::string Input =
+      "printf 'T5: acq(m7)\\nT5: rel(m7)\\nT9: rel(m3)\\n' | ";
+  RunResult W = runCommand(Input + cli() + " --validate=warn -");
+  EXPECT_EQ(W.ExitCode, 0) << W.Output;
+  EXPECT_NE(W.Output.find("warning STL022: T5 rel(m7): empty critical "
+                          "section"),
+            std::string::npos)
+      << W.Output;
+  EXPECT_NE(W.Output.find("error STL002: T9 rel(m3): release of a lock"),
+            std::string::npos)
+      << W.Output;
+
+  RunResult P = runCommand(Input + cli() + " -");
+  EXPECT_EQ(P.ExitCode, 1) << P.Output;
+  EXPECT_NE(P.Output.find("parse error: ill-formed trace: event 2 (line 3): "
+                          "error STL002: T9 rel(m3)"),
+            std::string::npos)
+      << P.Output;
+}
+
 TEST(AnalyzeCli, UnknownOptionShowsUsage) {
   RunResult R = runCommand(cli() + " --bogus " + trace("racy.trace"));
   EXPECT_EQ(R.ExitCode, 1) << R.Output;

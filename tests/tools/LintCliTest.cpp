@@ -139,6 +139,22 @@ TEST(LintCli, ProvenanceNamesTheOffendingLine) {
       << "first STL001 should carry line 3, got: " << Line;
 }
 
+TEST(LintCli, MessagesSpellTheSourceNames) {
+  // Thread and lock names that are not their dense ids (T5 and m7 intern
+  // as 0): the message must name the events as the trace wrote them, as
+  // the [event N, T...] bracket already does.
+  RunResult R = runCommand(
+      "printf 'T5: acq(m7)\\nT5: rel(m7)\\nT9: rel(m3)\\n' | " + cli());
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  expectInOrder(R.Output,
+                {"warning STL022: T5 rel(m7): empty critical section "
+                 "[event 1, T5]",
+                 "error STL002: T9 rel(m3): release of a lock the thread "
+                 "does not hold [event 2, T9]"});
+  EXPECT_EQ(R.Output.find("T0 "), std::string::npos) << R.Output;
+  EXPECT_EQ(R.Output.find("m0"), std::string::npos) << R.Output;
+}
+
 TEST(LintCli, UnknownOptionExitsOne) {
   RunResult R = runCommand(cli() + " --no-such-flag");
   EXPECT_EQ(R.ExitCode, 1) << R.Output;

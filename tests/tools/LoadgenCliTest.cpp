@@ -68,4 +68,19 @@ TEST(LoadgenCli, FailedStdoutReportWriteExitsOne) {
       << R.Output;
 }
 
+TEST(LoadgenCli, RecvTimeoutRejectsValuesOutsideItsBound) {
+  // NaN passes a plain `<= 0` check and 1e300 overflows the timeval
+  // conversion; each must fail before any connection is made.
+  std::string Loadgen = std::string("'") + ST_LOADGEN_PATH + "'";
+  for (const char *V : {"nan", "inf", "1e300", "0"}) {
+    RunResult R = runCommand(Loadgen +
+                             " --connect=unix:/tmp/st_lg_none_$$.sock"
+                             " --recv-timeout=" +
+                             V);
+    EXPECT_EQ(R.ExitCode, 1) << V << ": " << R.Output;
+    EXPECT_NE(R.Output.find("bad --recv-timeout"), std::string::npos)
+        << V << ": " << R.Output;
+  }
+}
+
 } // namespace

@@ -108,6 +108,37 @@ TEST(ServeCli, StrictRejectionExitsOneWithDiagnostics) {
       << R.Output;
 }
 
+TEST(ServeCli, ServedDiagnosticsSpellTheSourceNames) {
+  // The decoder of a framed upload exists only after the first read; the
+  // served lint messages must still use the trace's names (T5, m7), not
+  // the dense ids they intern as (T0, m0).
+  RunResult R = runCommand(
+      "printf 'T5: acq(m7)\\nT5: rel(m7)\\nT9: rel(m3)\\n' | ( " +
+      servedRun("--validate=warn -") + " )");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("T5 rel(m7): empty critical section"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_NE(R.Output.find("T9 rel(m3): release of a lock"), std::string::npos)
+      << R.Output;
+}
+
+TEST(ServeCli, TimeBudgetRejectsValuesOutsideItsBound) {
+  // inf overflows the deadline (every connection would be evicted at
+  // once), 1e300 the socket timeout (every read would time out), and NaN
+  // passes a plain `< 0` check. `timeout` turns a server that wrongly
+  // starts serving into a failure instead of a hang.
+  for (const char *V : {"inf", "nan", "1e300", "-1"}) {
+    RunResult R = runCommand("timeout 10 " + serve() +
+                             " --listen=unix:/tmp/st_cli_tb_$$.sock"
+                             " --time-budget=" +
+                             V);
+    EXPECT_EQ(R.ExitCode, 1) << V << ": " << R.Output;
+    EXPECT_NE(R.Output.find("bad --time-budget value"), std::string::npos)
+        << V << ": " << R.Output;
+  }
+}
+
 TEST(ServeCli, ConnectRefusesInProcessOnlyFlags) {
   RunResult R = runCommand(analyze() + " --connect=unix:/nowhere.sock "
                                        "--vindicate " +

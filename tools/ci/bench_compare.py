@@ -2,10 +2,9 @@
 """Regression gate over st-bench JSON reports.
 
 Compares a current BENCH_results.json against a checked-in baseline
-(bench/baseline.json) and fails on:
+(tools/ci/baseline.json) and fails on:
 
-  * schema mismatch (the formats are not comparable); v1 and v2 reports
-    are both understood, but a diff across versions is refused;
+  * a report that is not schema st-bench/v2 (exit 2);
   * coverage regression: a (workload, analysis) cell present in the
     baseline is missing from the current run;
   * correctness regression: race counts differ while the workload config
@@ -24,7 +23,7 @@ a "shards" field comes from a removed executor and is refused (exit 2),
 so it can never be compared as if it were the plain cell of the same
 (workload, analysis).
 
-Schema v2 adds "kind": "latency" cells — st-loadgen tail-latency
+Schema v2 carries "kind": "latency" cells — st-loadgen tail-latency
 reports against a live st-serve. Latency cells are exempt from the
 relative-cost gate (open-loop wall-clock percentiles do not
 form machine-portable ratios); they are validated structurally with
@@ -60,7 +59,7 @@ import json
 import math
 import sys
 
-ACCEPTED_SCHEMAS = ("st-bench/v1", "st-bench/v2")
+SCHEMA = "st-bench/v2"
 
 # The eleven analyses of the paper's Tables 4-6 (mainTableAnalysisKinds()
 # in src/analysis/AnalysisRegistry.cpp), in registry order.
@@ -84,10 +83,10 @@ def load(path):
             report = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         usage_error(f"cannot read {path}: {err}")
-    if report.get("schema") not in ACCEPTED_SCHEMAS:
+    if report.get("schema") != SCHEMA:
         usage_error(
             f"{path} has schema {report.get('schema')!r}, "
-            f"expected one of {ACCEPTED_SCHEMAS!r}"
+            f"expected {SCHEMA!r}"
         )
     for r in report.get("results", []):
         if "shards" in r:
@@ -100,9 +99,9 @@ def load(path):
 
 
 def cells(report):
-    # Plain cells carry no "kind" (v1 reports predate it); latency cells
-    # key on their kind, so they never collide with the plain cell of the
-    # same (workload, analysis).
+    # Plain cells carry no "kind"; latency cells key on their kind, so
+    # they never collide with the plain cell of the same (workload,
+    # analysis).
     return {
         (r["workload"], r["analysis"], r.get("kind", "")): r
         for r in report["results"]
@@ -119,9 +118,6 @@ def validate_latency(path):
     ordered, accounting closed, provenance present. Never gates absolute
     latency. Returns an exit status."""
     report = load(path)
-    if report.get("schema") != "st-bench/v2":
-        usage_error(f"{path}: latency cells require schema st-bench/v2, "
-                    f"got {report.get('schema')!r}")
     latency_cells = [r for r in report.get("results", [])
                      if r.get("kind", "") == "latency"]
     if not latency_cells:
@@ -236,12 +232,6 @@ def main(argv):
 
     base = load(paths[0])
     cur = load(paths[1])
-    if base.get("schema") != cur.get("schema"):
-        usage_error(
-            f"schema mismatch: {paths[0]} is {base.get('schema')!r}, "
-            f"{paths[1]} is {cur.get('schema')!r}; reports are only "
-            f"comparable within one schema version"
-        )
     base_cells, cur_cells = cells(base), cells(cur)
     same_config = base.get("config", {}).get("events") == cur.get(
         "config", {}

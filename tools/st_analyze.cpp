@@ -783,7 +783,6 @@ int main(int Argc, char **Argv) {
   SessOpts.Vindicate = Opts.Vindicate;
   SessOpts.Validation = Opts.Validation;
   SessOpts.MaxStoredDiagnostics = Opts.MaxDiags;
-  SessOpts.MaxRaceLines = Opts.MaxStoredRaces;
   // NDJSON streams races out as they happen; nothing needs to be
   // retained, which is what keeps race memory O(1).
   if (Opts.Format == ReportFormat::Ndjson)
@@ -800,7 +799,7 @@ int main(int Argc, char **Argv) {
     // output safe there (and identical to sequential output).
     Ndjson.setSymbols(Syms.Threads, Syms.Vars);
     SessOpts.OnBatchPublish = [&Ndjson] { Ndjson.refreshSymbols(); };
-    Ndjson.setMaxRacesPerAnalysis(SessOpts.MaxRaceLines);
+    Ndjson.setMaxRacesPerAnalysis(Opts.MaxStoredRaces);
   }
 
   Session S(SessOpts);

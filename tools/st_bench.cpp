@@ -18,7 +18,7 @@
 // per workload, giving per-analysis slowdown factors; per-analysis cost
 // relative to the FT2 reference is also reported because that ratio is
 // stable across machines, which is what the CI regression gate
-// (tools/ci/bench_compare.py) compares against bench/baseline.json.
+// (tools/ci/bench_compare.py) compares against tools/ci/baseline.json.
 //
 // Suites differ only in their workloads, analyses, sizes, and view: the
 // smoke/ci/full suites print one table per workload, the paper suite

@@ -309,9 +309,11 @@ int main(int Argc, char **Argv) {
   else
     addAllRules(Eng);
 
-  // The text parser is only constructed for text inputs, but the printer
-  // needs its symbol table pointer up front; the table is empty for STB.
+  // The parser is constructed for both formats but only reads text
+  // inputs; its name tables spell ids in the messages and the bracket.
   TraceTextParser Parser(Peek);
+  if (!IsStb)
+    Eng.setNames(&Parser);
   DiagnosticPrinter Printer(Opts, Label,
                             IsStb ? nullptr : &Parser.threadNames());
   Eng.setDiagnosticCallback(

@@ -30,6 +30,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "loadgen/Loadgen.h"
+#include "serve/Socket.h"
 #include "support/Json.h"
 
 #include <cerrno>
@@ -72,11 +73,13 @@ void printUsage(FILE *To) {
       "  --events-per-request=N mean events per request (default 2000)\n"
       "  --dist=KIND            per-request event count distribution:\n"
       "                         fixed | uniform | exp (default fixed)\n"
-      "  --recv-timeout=S       per-socket receive timeout (default 30)\n"
+      "  --recv-timeout=S       per-socket receive timeout in seconds,\n"
+      "                         0 < S <= %.0f (default 30)\n"
       "  --out=FILE|-           JSON report path (default\n"
       "                         LOADGEN_results.json; - for stdout)\n"
       "  --quiet                no human summary on stderr\n"
-      "  --help                 this text\n");
+      "  --help                 this text\n",
+      MaxTimeoutSeconds);
 }
 
 bool parseUInt(const char *S, uint64_t &Out) {
@@ -177,8 +180,10 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
     } else if ((V = Value(Arg, "--recv-timeout"))) {
+      // Written so that NaN fails too.
       if (!parseDouble(V, Opts.Gen.RecvTimeoutSeconds) ||
-          Opts.Gen.RecvTimeoutSeconds <= 0) {
+          !(Opts.Gen.RecvTimeoutSeconds > 0 &&
+            Opts.Gen.RecvTimeoutSeconds <= MaxTimeoutSeconds)) {
         std::fprintf(stderr, "error: bad --recv-timeout: %s\n", V);
         return false;
       }

@@ -48,8 +48,6 @@ struct Options {
   uint64_t MemoryBudget = 0;
   double TimeBudget = 0;
   size_t MaxFrame = DefaultMaxFramePayload;
-  size_t Batch = 0;
-  size_t IoBuffer = 0;
   std::vector<AnalysisKind> DefaultKinds;
   bool PrintPort = false;
 };
@@ -73,18 +71,17 @@ void printUsage(FILE *Out, const char *Prog) {
       "  --memory-budget=N  per-connection cap on summed analysis\n"
       "                     footprint bytes; breach evicts the connection\n"
       "                     gracefully (SUMMARY + ERROR \"evicted-memory\")\n"
-      "  --time-budget=S    per-connection wall-time budget in seconds\n"
-      "                     (also the socket receive timeout); breach\n"
-      "                     sends ERROR \"evicted-time\"\n"
+      "  --time-budget=S    per-connection wall-time budget in seconds,\n"
+      "                     0 <= S <= %.0f (0 = none; also the socket\n"
+      "                     receive timeout); breach sends ERROR\n"
+      "                     \"evicted-time\"\n"
       "  --max-frame=N      per-frame payload cap in bytes (default 1MiB)\n"
       "  --analysis=NAME    default analysis when a client names none\n"
       "                     (repeatable; default ST-WDC)\n"
-      "  --batch=N          default engine batch size\n"
-      "  --io-buffer=N      per-connection decode buffer bytes\n"
       "  --print-port       print the bound TCP port to stdout (for\n"
       "                     port-0 binds in test harnesses)\n"
       "  -h, --help         show this message\n",
-      Prog);
+      Prog, MaxTimeoutSeconds);
 }
 
 bool parseCount(const char *Value, const char *Flag, uint64_t &Out) {
@@ -120,7 +117,9 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (std::strncmp(Arg, "--time-budget=", 14) == 0) {
       char *End = nullptr;
       Opts.TimeBudget = std::strtod(Arg + 14, &End);
-      if (End == Arg + 14 || *End != '\0' || Opts.TimeBudget < 0) {
+      // Written so that NaN fails too.
+      if (End == Arg + 14 || *End != '\0' ||
+          !(Opts.TimeBudget >= 0 && Opts.TimeBudget <= MaxTimeoutSeconds)) {
         std::fprintf(stderr, "error: bad --time-budget value '%s'\n",
                      Arg + 14);
         return false;
@@ -138,18 +137,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
       Opts.DefaultKinds.push_back(Kind);
-    } else if (std::strncmp(Arg, "--batch=", 8) == 0) {
-      if (!parseCount(Arg + 8, "--batch", N) || N == 0) {
-        std::fprintf(stderr, "error: --batch must be positive\n");
-        return false;
-      }
-      Opts.Batch = static_cast<size_t>(N);
-    } else if (std::strncmp(Arg, "--io-buffer=", 12) == 0) {
-      if (!parseCount(Arg + 12, "--io-buffer", N) || N == 0) {
-        std::fprintf(stderr, "error: --io-buffer must be positive\n");
-        return false;
-      }
-      Opts.IoBuffer = static_cast<size_t>(N);
     } else if (std::strcmp(Arg, "--print-port") == 0) {
       Opts.PrintPort = true;
     } else if (std::strcmp(Arg, "-h") == 0 ||
@@ -190,10 +177,6 @@ int main(int Argc, char **Argv) {
   SO.MaxConnections = Opts.MaxConns;
   if (!Opts.DefaultKinds.empty())
     SO.DefaultKinds = Opts.DefaultKinds;
-  if (Opts.Batch)
-    SO.Session.BatchSize = Opts.Batch;
-  if (Opts.IoBuffer)
-    SO.Session.IoBufferBytes = Opts.IoBuffer;
 
   Server Srv(SO);
   for (const std::string &Text : Opts.Listen) {
