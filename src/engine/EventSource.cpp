@@ -6,7 +6,7 @@
 
 #include "engine/EventSource.h"
 
-#include "lint/Lint.h"
+#include "lint/LintingEventSource.h"
 #include "workload/Workload.h"
 
 #include <cstring>
@@ -24,41 +24,18 @@ size_t TraceEventSource::read(Event *Buf, size_t Max) {
   return N;
 }
 
-TextEventSource::TextEventSource(ByteSource &Bytes, bool Validate,
-                                 size_t BufferBytes)
-    : Parser(Bytes, BufferBytes), Validate(Validate) {
-  Checker.engine().setNames(&Parser);
-}
-
 size_t TextEventSource::read(Event *Buf, size_t Max) {
+  Lines.clear();
   if (Bad)
     return 0;
   size_t N = 0;
   while (N < Max) {
     int R = Parser.next(Buf[N]);
     if (R <= 0) {
-      if (R < 0) {
-        Bad = true;
-        ErrorMsg = Parser.error();
-      }
+      Bad = R < 0;
       break;
     }
-    if (Validate) {
-      Checker.engine().setProvenance(Parser.line(), 0);
-      if (!Checker.check(Buf[N])) {
-        // Stop delivering, but keep decoding through the checker so the
-        // diagnostic covers every violation in the input, not just the
-        // first (the engine's store cap bounds memory).
-        Bad = true;
-        Event E;
-        while (Parser.next(E) > 0) {
-          Checker.engine().setProvenance(Parser.line(), 0);
-          Checker.check(E);
-        }
-        ErrorMsg = "ill-formed trace: " + Checker.error();
-        break;
-      }
-    }
+    Lines.push_back(Parser.line());
     ++N;
   }
   return N;
@@ -66,38 +43,22 @@ size_t TextEventSource::read(Event *Buf, size_t Max) {
 
 bool TextEventSource::error(std::string *Msg) const {
   if (Bad && Msg)
-    *Msg = ErrorMsg;
+    *Msg = Parser.error();
   return Bad;
 }
 
 size_t StbEventSource::read(Event *Buf, size_t Max) {
+  Ends.clear();
   if (Bad)
     return 0;
   size_t N = 0;
   while (N < Max) {
     int R = Reader.next(Buf[N]);
     if (R <= 0) {
-      if (R < 0) {
-        Bad = true;
-        ErrorMsg = Reader.error();
-      }
+      Bad = R < 0;
       break;
     }
-    if (Validate) {
-      Checker.engine().setProvenance(0, Reader.bytesConsumed());
-      if (!Checker.check(Buf[N])) {
-        // As in TextEventSource: withhold from here on, drain the rest
-        // through the checker for a complete diagnostic.
-        Bad = true;
-        Event E;
-        while (Reader.next(E) > 0) {
-          Checker.engine().setProvenance(0, Reader.bytesConsumed());
-          Checker.check(E);
-        }
-        ErrorMsg = "ill-formed trace: " + Checker.error();
-        break;
-      }
-    }
+    Ends.push_back(Reader.bytesConsumed());
     ++N;
   }
   return N;
@@ -105,7 +66,7 @@ size_t StbEventSource::read(Event *Buf, size_t Max) {
 
 bool StbEventSource::error(std::string *Msg) const {
   if (Bad && Msg)
-    *Msg = ErrorMsg;
+    *Msg = Reader.error();
   return Bad;
 }
 
@@ -122,12 +83,6 @@ size_t CapturingEventSource::read(Event *Buf, size_t Max) {
   return N;
 }
 
-const StbHeader *OpenedEventSource::stbHeader() const {
-  if (Format != TraceFormat::Stb)
-    return nullptr;
-  return &static_cast<const StbEventSource *>(Events.get())->reader().header();
-}
-
 OpenedEventSource st::openEventSource(ByteSource &Bytes, bool Validate) {
   OpenOptions Opts;
   Opts.Validate = Validate;
@@ -140,15 +95,23 @@ OpenedEventSource st::openEventSource(ByteSource &Bytes,
   Out.Bytes = std::make_unique<PeekableByteSource>(Bytes);
   char Magic[sizeof(StbMagic)];
   size_t N = Out.Bytes->peek(Magic, sizeof(Magic));
+  std::unique_ptr<EventSource> Decoder;
   if (N == sizeof(StbMagic) &&
       std::memcmp(Magic, StbMagic, sizeof(StbMagic)) == 0) {
     Out.Format = TraceFormat::Stb;
-    Out.Events = std::make_unique<StbEventSource>(*Out.Bytes, Opts.Validate,
-                                                  Opts.BufferBytes);
+    Decoder = std::make_unique<StbEventSource>(*Out.Bytes, Opts.BufferBytes);
   } else {
     Out.Format = TraceFormat::Text;
-    Out.Events = std::make_unique<TextEventSource>(*Out.Bytes, Opts.Validate,
-                                                   Opts.BufferBytes);
+    Decoder = std::make_unique<TextEventSource>(*Out.Bytes, Opts.BufferBytes);
   }
+  if (!Opts.Validate) {
+    Out.Events = std::move(Decoder);
+    return Out;
+  }
+  Out.Decoder = std::move(Decoder);
+  Out.Lint = std::make_unique<LintEngine>();
+  addHardRules(*Out.Lint);
+  Out.Events = std::make_unique<LintingEventSource>(*Out.Decoder, *Out.Lint,
+                                                    /*Reject=*/false);
   return Out;
 }

@@ -11,14 +11,17 @@
 /// for in-memory traces, the streaming TraceText parser, the STB binary
 /// reader, and the synthetic workload generator, so analyses run in
 /// O(analysis-metadata) space regardless of trace length (paper §2.1
-/// defines them as online consumers). openEventSource() sniffs the input
-/// bytes (STB magic vs. text DSL) and assembles the right decoding stack.
+/// defines them as online consumers). The decoders only decode;
+/// openEventSource() sniffs the input bytes (STB magic vs. text DSL) and
+/// assembles the right decoding stack, linted by LintingEventSource
+/// (lint/LintingEventSource.h) unless the caller lints it itself.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMARTTRACK_ENGINE_EVENTSOURCE_H
 #define SMARTTRACK_ENGINE_EVENTSOURCE_H
 
+#include "lint/Lint.h"
 #include "support/Bytes.h"
 #include "trace/Stb.h"
 #include "trace/Trace.h"
@@ -53,6 +56,19 @@ public:
   /// ids in lint messages and race reports; null for every input that is
   /// not the text DSL. May turn non-null only after the first read().
   virtual const TraceTextParser *textParser() const { return nullptr; }
+
+  /// Input position of each event the last read() delivered, index-aligned
+  /// with its buffer: the source line of the event (text DSL). Null for
+  /// every input that is not the text DSL. Lint provenance.
+  virtual const uint32_t *eventLines() const { return nullptr; }
+
+  /// As eventLines(), for STB: the byte offset just past each event's
+  /// record. Null for every input that is not STB.
+  virtual const uint64_t *eventBytes() const { return nullptr; }
+
+  /// The STB header (STB inputs only; null otherwise). Its counts are
+  /// read by the first read().
+  virtual const StbHeader *stbHeader() const { return nullptr; }
 };
 
 /// Id-space maxima and event count of a streamed trace, the streaming
@@ -109,48 +125,40 @@ private:
   size_t Pos = 0;
 };
 
-/// EventSource decoding the TraceText DSL as it streams in, optionally
-/// checking well-formedness online (the streaming analogue of the
-/// materializing parse-then-validate path).
+/// EventSource decoding the TraceText DSL as it streams in.
 class TextEventSource : public EventSource {
 public:
-  explicit TextEventSource(ByteSource &Bytes, bool Validate = true,
-                           size_t BufferBytes = DefaultIoBufferBytes);
-  // The checker's engine points at Parser.
-  TextEventSource(const TextEventSource &) = delete;
-  TextEventSource &operator=(const TextEventSource &) = delete;
+  explicit TextEventSource(ByteSource &Bytes,
+                           size_t BufferBytes = DefaultIoBufferBytes)
+      : Parser(Bytes, BufferBytes) {}
 
   size_t read(Event *Buf, size_t Max) override;
   bool error(std::string *Msg = nullptr) const override;
   const TraceTextParser *textParser() const override { return &Parser; }
+  const uint32_t *eventLines() const override { return Lines.data(); }
 
 private:
   TraceTextParser Parser;
-  WellFormedChecker Checker;
-  bool Validate;
+  std::vector<uint32_t> Lines; // per event of the last read(); reused
   bool Bad = false;
-  std::string ErrorMsg;
 };
 
-/// EventSource decoding the STB binary format, optionally checking
-/// well-formedness online.
+/// EventSource decoding the STB binary format.
 class StbEventSource : public EventSource {
 public:
-  explicit StbEventSource(ByteSource &Bytes, bool Validate = true,
+  explicit StbEventSource(ByteSource &Bytes,
                           size_t BufferBytes = DefaultIoBufferBytes)
-      : Reader(Bytes, BufferBytes), Validate(Validate) {}
+      : Reader(Bytes, BufferBytes) {}
 
   size_t read(Event *Buf, size_t Max) override;
   bool error(std::string *Msg = nullptr) const override;
-
-  const StbReader &reader() const { return Reader; }
+  const uint64_t *eventBytes() const override { return Ends.data(); }
+  const StbHeader *stbHeader() const override { return &Reader.header(); }
 
 private:
   StbReader Reader;
-  WellFormedChecker Checker;
-  bool Validate;
+  std::vector<uint64_t> Ends; // per event of the last read(); reused
   bool Bad = false;
-  std::string ErrorMsg;
 };
 
 /// EventSource over the synthetic workload generator (not owned).
@@ -185,11 +193,16 @@ private:
 /// The input format openEventSource() detected.
 enum class TraceFormat : uint8_t { Text, Stb };
 
-/// A decoding stack assembled over a raw byte stream: the chosen decoder
-/// plus the sniffing adapter it reads through. The symbol-name accessors
-/// are non-null only for text inputs.
+/// A decoding stack assembled over a raw byte stream: the sniffing
+/// adapter, the chosen decoder and, when validating, the hard-rule lint
+/// wrapper over it. Events is what consumers read. The symbol-name
+/// accessors are non-null only for text inputs.
 struct OpenedEventSource {
   std::unique_ptr<PeekableByteSource> Bytes;
+  /// The decoder under the lint wrapper (null when Events is the decoder).
+  std::unique_ptr<EventSource> Decoder;
+  /// The lint wrapper's engine, hard rules only (null without validation).
+  std::unique_ptr<LintEngine> Lint;
   std::unique_ptr<EventSource> Events;
   TraceFormat Format = TraceFormat::Text;
 
@@ -197,14 +210,18 @@ struct OpenedEventSource {
   /// null for STB). Valid to call during and after streaming.
   const TraceTextParser *textParser() const { return Events->textParser(); }
   /// STB header (STB inputs only; null for text).
-  const StbHeader *stbHeader() const;
+  const StbHeader *stbHeader() const { return Events->stbHeader(); }
 };
 
 /// Tuning for openEventSource. BufferBytes sizes the decoder's internal
 /// read-ahead chunk (the text parser's line chunk, the STB ByteReader) —
 /// hoisted out of the decoders so per-connection server budgets can tune
 /// it (SessionOptions::IoBufferBytes) instead of every stream paying a
-/// fixed hard-coded buffer.
+/// fixed hard-coded buffer. Validate wraps the decoder in a hard-rules-only
+/// LintingEventSource: delivery stops just before the first ill-formed
+/// event and error() then lists every hard violation in the input.
+/// Callers that run their own lint pass (Session Warn/Strict, st-lint)
+/// open with Validate=false.
 struct OpenOptions {
   bool Validate = true;
   size_t BufferBytes = DefaultIoBufferBytes;

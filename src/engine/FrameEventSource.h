@@ -85,9 +85,19 @@ public:
     return Payload.firstEventsAt(Out);
   }
 
-  /// Null before the first read and for STB uploads.
+  /// The decode stack's names, positions and STB header; all null
+  /// before the first read.
   const TraceTextParser *textParser() const override {
     return Opened ? Open.textParser() : nullptr;
+  }
+  const uint32_t *eventLines() const override {
+    return Opened ? Open.Events->eventLines() : nullptr;
+  }
+  const uint64_t *eventBytes() const override {
+    return Opened ? Open.Events->eventBytes() : nullptr;
+  }
+  const StbHeader *stbHeader() const override {
+    return Opened ? Open.stbHeader() : nullptr;
   }
 
 private:

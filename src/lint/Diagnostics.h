@@ -59,13 +59,15 @@ enum class LintCode : uint16_t {
   /// acq(m) immediately followed by rel(m) with no intervening event by
   /// the same thread.
   EmptyCriticalSection = 22,
-  /// The same numeric id accessed both as a volatile and as a plain
-  /// variable (suspected aliasing between the two id spaces).
+  /// One object (its spelled name for text input, else the numeric id)
+  /// accessed both as a volatile and as a plain variable (suspected
+  /// aliasing between the two id spaces).
   VolatileDataAlias = 23,
   /// An access site id at or beyond the input's declared site table.
   SiteOutOfTable = 24,
   /// A suspiciously sparse id space: the maximum id is near the
-  /// MaxCheckableThreads cap or far larger than the distinct-id count.
+  /// LintEngine::MaxCheckableIds cap or far larger than the distinct-id
+  /// count.
   SparseIdSpace = 25,
 };
 

@@ -115,13 +115,18 @@ std::string LintEngine::summaryString(size_t MaxListed) const {
   return Out;
 }
 
-std::vector<LintDiagnostic> st::lintTrace(const Trace &Tr, bool SoftRules,
-                                          LintOptions Opts) {
-  LintEngine Eng(Opts);
+void st::lintEvents(LintEngine &Eng, const std::vector<Event> &Events,
+                    bool SoftRules) {
   addHardRules(Eng);
   if (SoftRules)
     addSoftRules(Eng);
-  Eng.processBatch(Tr.events().data(), Tr.size());
+  Eng.processBatch(Events.data(), Events.size());
   Eng.finish();
+}
+
+std::vector<LintDiagnostic> st::lintTrace(const Trace &Tr, bool SoftRules,
+                                          LintOptions Opts) {
+  LintEngine Eng(Opts);
+  lintEvents(Eng, Tr.events(), SoftRules);
   return Eng.diagnostics();
 }

@@ -9,12 +9,12 @@
 /// a registry of StreamRules and feeds them events one at a time or batch
 /// at a time (the engine layer's chunk size), collecting LintDiagnostics
 /// without ever latching — every violation in the input is reported, not
-/// just the first. Rules are pluggable; the built-in set spans the hard
-/// well-formedness contract the analyses are sound under (paper §2.1) and
-/// soft trace pathologies that degrade prediction quality. The engine is
-/// the single validation path: WellFormedChecker (trace/Trace.h), the
-/// streaming sources, Session's Off/Warn/Strict validation modes, and the
-/// st-lint CLI all sit on it.
+/// just the first. The built-in rules span the hard well-formedness
+/// contract the analyses are sound under (paper §2.1) and soft trace
+/// pathologies that degrade prediction quality. Streams are linted by
+/// LintingEventSource (lint/LintingEventSource.h) — openEventSource's
+/// validation, Session's Warn/Strict modes and the st-lint CLI all wrap
+/// their decoder in it — and materialized traces by lintEvents().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +46,7 @@ struct LintDeclared {
   uint64_t Events = 0;
 };
 
-/// One pluggable streaming lint rule. Rules see every event in stream
+/// One streaming lint rule. Rules see every event in stream
 /// order and report through the engine; onEnd runs once when the stream
 /// finishes cleanly (end-of-trace lints). When a rule reports an
 /// error-severity diagnostic the engine skips the remaining rules for
@@ -55,9 +55,6 @@ struct LintDeclared {
 class StreamRule {
 public:
   virtual ~StreamRule() = default;
-
-  /// Stable rule name ("lock-discipline", ...), for listings and docs.
-  virtual const char *name() const = 0;
 
   virtual void onEvent(const Event &E, LintEngine &Eng) = 0;
 
@@ -87,9 +84,6 @@ public:
 
   /// Appends \p R to the registry; rules run in registration order.
   void addRule(std::unique_ptr<StreamRule> R);
-
-  size_t ruleCount() const { return Rules.size(); }
-  const StreamRule &rule(size_t I) const { return *Rules[I]; }
 
   /// Id-space sizes the input declared (STB header); advisory.
   void setDeclared(const LintDeclared &D) { Declared = D; }
@@ -172,8 +166,8 @@ private:
 };
 
 /// Registers the hard well-formedness rules (errors only): id-range,
-/// lock-discipline, thread-lifecycle. This is the set the streaming
-/// sources and WellFormedChecker run on every event.
+/// lock-discipline, thread-lifecycle. This is the set openEventSource
+/// validates every stream with, and Trace::validate every trace.
 void addHardRules(LintEngine &Eng);
 
 /// Registers the soft lint rules (warnings/notes): held-at-end, unjoined
@@ -184,9 +178,15 @@ void addSoftRules(LintEngine &Eng);
 /// Hard + soft: the full st-lint / Session-validation rule set.
 void addAllRules(LintEngine &Eng);
 
+/// Registers the hard rules (plus the soft ones when \p SoftRules), feeds
+/// \p Events through \p Eng and finishes: the one lint loop over a
+/// materialized trace, behind Trace::validate, TraceBuilder::build and
+/// lintTrace.
+void lintEvents(LintEngine &Eng, const std::vector<Event> &Events,
+                bool SoftRules);
+
 /// Lints a materialized trace with the given rule set and returns every
-/// diagnostic (convenience over the streaming API, for tests and the
-/// builder).
+/// diagnostic (convenience over lintEvents, for tests).
 std::vector<LintDiagnostic> lintTrace(const Trace &Tr, bool SoftRules = true,
                                       LintOptions Opts = LintOptions());
 

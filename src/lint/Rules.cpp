@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <unordered_map>
 
 using namespace st;
 
@@ -71,8 +72,6 @@ std::string describeEvent(const Event &E, const LintEngine &Eng) {
 /// first so later rules can size dense per-id state off checked ids.
 class IdRangeRule : public StreamRule {
 public:
-  const char *name() const override { return "id-range"; }
-
   void onEvent(const Event &E, LintEngine &Eng) override {
     if (E.Tid >= LintEngine::MaxCheckableIds) {
       Eng.report(LintCode::IdOutOfRange,
@@ -115,12 +114,9 @@ public:
 
 /// STL001/STL002: a thread only acquires a free lock and only releases a
 /// lock it holds. The holder table is a dense vector indexed by LockId
-/// (ids are dense by construction) — one load per lock event, replacing
-/// the per-event unordered_map probe the old WellFormedChecker paid.
+/// (ids are dense by construction) — one load per lock event, no hashing.
 class LockDisciplineRule : public StreamRule {
 public:
-  const char *name() const override { return "lock-discipline"; }
-
   void onEvent(const Event &E, LintEngine &Eng) override {
     if (!isLockOp(E.Kind))
       return;
@@ -153,8 +149,6 @@ private:
 /// events, and no thread forks or joins itself.
 class ThreadLifecycleRule : public StreamRule {
 public:
-  const char *name() const override { return "thread-lifecycle"; }
-
   void onEvent(const Event &E, LintEngine &Eng) override {
     ThreadId MaxTid = E.Tid;
     if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)
@@ -213,8 +207,6 @@ private:
 /// lock-based ordering the predictive relations build.
 class LockHeldAtEndRule : public StreamRule {
 public:
-  const char *name() const override { return "lock-held-at-end"; }
-
   void onEvent(const Event &E, LintEngine &Eng) override {
     (void)Eng;
     if (!isLockOp(E.Kind))
@@ -243,8 +235,6 @@ private:
 /// predictable-race surface with schedules the program may not allow.
 class UnjoinedThreadRule : public StreamRule {
 public:
-  const char *name() const override { return "unjoined-thread"; }
-
   void onEvent(const Event &E, LintEngine &Eng) override {
     if (E.Kind != EventKind::Fork && E.Kind != EventKind::Join)
       return;
@@ -279,8 +269,6 @@ private:
 /// lost events or over-synchronized instrumentation.
 class EmptyCriticalSectionRule : public StreamRule {
 public:
-  const char *name() const override { return "empty-critical-section"; }
-
   void onEvent(const Event &E, LintEngine &Eng) override {
     if (E.Tid >= Pending.size())
       Pending.resize(E.Tid + 1, InvalidId);
@@ -295,45 +283,64 @@ private:
   std::vector<LockId> Pending; // tid -> lock acquired by its last event
 };
 
-/// STL023: the same numeric id accessed both as a volatile and as a plain
+/// STL023: one object accessed both as a volatile and as a plain
 /// variable. The two id spaces are disjoint by construction, so overlap
 /// suggests a producer mapped one program object into both — analyses
-/// would then miss the synchronization the volatile accesses carry.
+/// would then miss the synchronization the volatile accesses carry. With
+/// names (text input) the object is its spelled name, since the DSL interns
+/// variables and volatiles in separate tables that both start at 0; without
+/// (STB) it is the numeric id.
 class VolatileDataAliasRule : public StreamRule {
 public:
-  const char *name() const override { return "volatile-data-alias"; }
-
   void onEvent(const Event &E, LintEngine &Eng) override {
-    if (isAccess(E.Kind)) {
-      Data.insert(E.Target);
-      if (Vol.contains(E.Target) && Reported.insert(E.Target))
-        reportAlias(E, Eng);
-    } else if (E.Kind == EventKind::VolRead ||
-               E.Kind == EventKind::VolWrite) {
-      Vol.insert(E.Target);
-      if (Data.contains(E.Target) && Reported.insert(E.Target))
-        reportAlias(E, Eng);
+    bool IsVol;
+    if (isAccess(E.Kind))
+      IsVol = false;
+    else if (E.Kind == EventKind::VolRead || E.Kind == EventKind::VolWrite)
+      IsVol = true;
+    else
+      return;
+    uint32_t Obj = object(E.Target, IsVol, Eng.names());
+    (IsVol ? Vol : Data).insert(Obj);
+    if ((IsVol ? Data : Vol).contains(Obj) && Reported.insert(Obj)) {
+      char Buf[80];
+      std::snprintf(Buf, sizeof(Buf),
+                    "id %u is used as both a volatile and a data variable",
+                    E.Target);
+      Eng.report(LintCode::VolatileDataAlias,
+                 describeEvent(E, Eng) + ": " + Buf);
     }
   }
 
 private:
-  void reportAlias(const Event &E, LintEngine &Eng) {
-    char Buf[80];
-    std::snprintf(Buf, sizeof(Buf),
-                  "id %u is used as both a volatile and a data variable",
-                  E.Target);
-    Eng.report(LintCode::VolatileDataAlias, describeEvent(E, Eng) + ": " + Buf);
+  /// The object key of id \p Id: the id itself without names, else a
+  /// dense number per distinct name, looked up once per id.
+  uint32_t object(uint32_t Id, bool IsVol, const TraceTextParser *P) {
+    if (!P)
+      return Id;
+    std::vector<uint32_t> &Keys = KeyOf[IsVol];
+    if (Id >= Keys.size())
+      Keys.resize(Id + 1, InvalidId);
+    if (Keys[Id] == InvalidId) {
+      std::string Name = symbolOrId(
+          IsVol ? &P->volatileNames() : &P->varNames(), Id, IsVol ? 'v' : 'x');
+      Keys[Id] = NameKeys
+                     .emplace(std::move(Name),
+                              static_cast<uint32_t>(NameKeys.size()))
+                     .first->second;
+    }
+    return Keys[Id];
   }
 
-  DenseIdSet Data, Vol, Reported;
+  DenseIdSet Data, Vol, Reported;     // object keys
+  std::vector<uint32_t> KeyOf[2];     // [IsVol][id] -> key (names only)
+  std::unordered_map<std::string, uint32_t> NameKeys;
 };
 
 /// STL024: access sites at or beyond the site table the input declared
 /// (STB header NumSites). Fires once per undeclared site id.
 class SiteTableRule : public StreamRule {
 public:
-  const char *name() const override { return "site-table"; }
-
   void onEvent(const Event &E, LintEngine &Eng) override {
     uint64_t Declared = Eng.declared().Sites;
     if (!Declared || !isAccess(E.Kind) || E.Site == InvalidId ||
@@ -355,13 +362,11 @@ private:
 
 /// STL025: thread-id density. Dense ids are the contract every flat
 /// per-thread table is sized on; a maximum tid near the
-/// MaxCheckableThreads cap, or far larger than the distinct-thread
+/// LintEngine::MaxCheckableIds cap, or far larger than the distinct-thread
 /// count, means the producer is not assigning dense ids (or the input is
 /// hostile) and per-thread state is about to balloon.
 class IdDensityRule : public StreamRule {
 public:
-  const char *name() const override { return "id-density"; }
-
   void onEvent(const Event &E, LintEngine &Eng) override {
     observe(E.Tid, Eng);
     if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)

@@ -43,8 +43,8 @@ namespace st {
 /// How a Session treats the lint pass (the full hard + soft rule set,
 /// lint/Lint.h) over its input stream.
 ///
-/// Off: no lint pass (the raw sources still enforce hard well-formedness
-/// themselves unless opened with Validate=false). In Warn and Strict the
+/// Off: no lint pass (openEventSource still enforces hard well-formedness
+/// unless opened with Validate=false). In Warn and Strict the
 /// full rule set runs ahead of the analyses and diagnostics land in
 /// RunReport::Validation; in both, delivery stops just before the first
 /// event with an error-severity finding — the cores require well-formed

@@ -68,6 +68,9 @@ public:
   const TraceTextParser *textParser() const override {
     return Inner.textParser();
   }
+  const uint32_t *eventLines() const override { return Inner.eventLines(); }
+  const uint64_t *eventBytes() const override { return Inner.eventBytes(); }
+  const StbHeader *stbHeader() const override { return Inner.stbHeader(); }
 
   bool breached() const { return Breached; }
   const std::string &breachCode() const { return Code; }

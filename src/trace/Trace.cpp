@@ -15,10 +15,6 @@
 
 using namespace st;
 
-static_assert(WellFormedChecker::MaxCheckableThreads ==
-                  LintEngine::MaxCheckableIds,
-              "checker and lint engine must agree on the id-space cap");
-
 const char *st::eventKindName(EventKind K) {
   switch (K) {
   case EventKind::Read:
@@ -70,32 +66,9 @@ void Trace::computeStats() {
   }
 }
 
-WellFormedChecker::WellFormedChecker() : Eng(std::make_unique<LintEngine>()) {
-  addHardRules(*Eng);
-}
-
-WellFormedChecker::~WellFormedChecker() = default;
-WellFormedChecker::WellFormedChecker(WellFormedChecker &&) noexcept = default;
-WellFormedChecker &
-WellFormedChecker::operator=(WellFormedChecker &&) noexcept = default;
-
-bool WellFormedChecker::check(const Event &E) {
-  Eng->processEvent(E);
-  return !Eng->hasErrors();
-}
-
-bool WellFormedChecker::failed() const { return Eng->hasErrors(); }
-
-const std::string &WellFormedChecker::error() const {
-  if (Eng->hasErrors())
-    ErrorMsg = Eng->summaryString();
-  return ErrorMsg;
-}
-
 bool Trace::validate(std::string *Error) const {
   LintEngine Eng;
-  addHardRules(Eng);
-  Eng.processBatch(Events.data(), Events.size());
+  lintEvents(Eng, Events, /*SoftRules=*/false);
   if (!Eng.hasErrors())
     return true;
   if (Error)
@@ -178,8 +151,7 @@ Trace TraceBuilder::build() const {
   // Builder traces are authored by hand (tests, examples); an ill-formed
   // one is a bug at the construction site, diagnosed in every build type.
   LintEngine Eng;
-  addHardRules(Eng);
-  Eng.processBatch(Tr.events().data(), Tr.size());
+  lintEvents(Eng, Events, /*SoftRules=*/false);
   if (Eng.hasErrors())
     throw IllFormedTraceError("trace is not well formed: " +
                                   Eng.summaryString(),

@@ -23,54 +23,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace st {
-
-class LintEngine;
-
-/// Incremental well-formedness checker: feed events in trace order and any
-/// violation is diagnosed naming the offending event. A thin adapter over
-/// the lint engine's hard rule set (lint/Lint.h) — streaming event sources
-/// run this online where a materialized Trace would call validate(), so
-/// every validation path shares one rule implementation. Unlike the
-/// pre-lint checker this does not latch: check() keeps accepting events
-/// after a violation (collecting further diagnostics, bounded by the
-/// engine's store cap) while returning false, so callers can stop
-/// *delivering* events yet still report every violation in the input.
-class WellFormedChecker {
-public:
-  /// Largest accepted thread id + 1. Ids are dense by construction
-  /// (Types.h), so anything near this bound is a corrupt or hostile
-  /// input, not a real trace; the cap keeps per-thread state from being
-  /// sized off untrusted bytes. Mirrors LintEngine::MaxCheckableIds.
-  static constexpr ThreadId MaxCheckableThreads = 1u << 22;
-
-  WellFormedChecker();
-  ~WellFormedChecker();
-  WellFormedChecker(WellFormedChecker &&) noexcept;
-  WellFormedChecker &operator=(WellFormedChecker &&) noexcept;
-
-  /// Feeds one event; returns false once any violation has been seen.
-  bool check(const Event &E);
-
-  bool failed() const;
-
-  /// Aggregated diagnostic over every violation seen so far (first few
-  /// listed, "... and N more" beyond that). Empty while failed() is false.
-  const std::string &error() const;
-
-  /// The underlying engine, for provenance wiring and diagnostic access.
-  LintEngine &engine() { return *Eng; }
-  const LintEngine &engine() const { return *Eng; }
-
-private:
-  std::unique_ptr<LintEngine> Eng;
-  mutable std::string ErrorMsg; // cached rendering of engine diagnostics
-};
 
 /// Thrown by TraceBuilder::build() (in all build types) when the built
 /// trace violates well-formedness; carries every diagnostic, not just the

@@ -149,12 +149,45 @@ TEST(TextEventSourceTest, ReportsParseErrorWithPosition) {
 
 TEST(TextEventSourceTest, ValidatesWellFormednessOnline) {
   MemoryByteSource Bytes("T1: rel(m)\n");
-  TextEventSource Src(Bytes);
+  OpenedEventSource In = openEventSource(Bytes, /*Validate=*/true);
+  EventSource &Src = *In.Events;
   Event Buf[4];
   EXPECT_EQ(Src.read(Buf, 4), 0u);
   std::string Msg;
   ASSERT_TRUE(Src.error(&Msg));
   EXPECT_NE(Msg.find("ill-formed"), std::string::npos) << Msg;
+}
+
+TEST(TextEventSourceTest, RecordsTheLineOfEveryDeliveredEvent) {
+  MemoryByteSource Bytes("T1: acq(m)\n# c\n\nT1: wr(x)\nT1: rel(m)\n");
+  TextEventSource Src(Bytes);
+  Event Buf[2];
+  ASSERT_EQ(Src.read(Buf, 2), 2u);
+  EXPECT_EQ(Src.eventLines()[0], 1u);
+  EXPECT_EQ(Src.eventLines()[1], 4u);
+  ASSERT_EQ(Src.read(Buf, 2), 1u);
+  EXPECT_EQ(Src.eventLines()[0], 5u) << "positions of the last read only";
+  EXPECT_EQ(Src.eventBytes(), nullptr);
+  EXPECT_EQ(Src.stbHeader(), nullptr);
+}
+
+TEST(StbEventSourceTest, RecordsTheEndByteOfEveryDeliveredEvent) {
+  Trace Tr = traceFromText(Figure1);
+  std::string Encoded;
+  StringByteSink Sink(Encoded);
+  ASSERT_TRUE(writeStbTrace(Tr, Sink));
+  MemoryByteSource Bytes(Encoded);
+  StbEventSource Src(Bytes);
+  std::vector<Event> Buf(Tr.size());
+  ASSERT_EQ(Src.read(Buf.data(), Buf.size()), Tr.size());
+  const uint64_t *Ends = Src.eventBytes();
+  ASSERT_NE(Ends, nullptr);
+  for (size_t I = 1; I != Tr.size(); ++I)
+    EXPECT_LT(Ends[I - 1], Ends[I]) << "event " << I;
+  EXPECT_EQ(Ends[Tr.size() - 1], Encoded.size());
+  EXPECT_EQ(Src.eventLines(), nullptr);
+  ASSERT_NE(Src.stbHeader(), nullptr);
+  EXPECT_EQ(Src.stbHeader()->EventCount, Tr.size());
 }
 
 TEST(StbEventSourceTest, RoundTripsTraceExactly) {
@@ -208,7 +241,8 @@ TEST(StbEventSourceTest, HugeThreadIdIsRejectedNotAllocated) {
   Bytes.append(Varint, encodeVarint(0, Varint));          // tid
   Bytes.append(Varint, encodeVarint(0xfffffffeu, Varint)); // child tid
   MemoryByteSource Mem(Bytes);
-  StbEventSource Src(Mem);
+  OpenedEventSource In = openEventSource(Mem, /*Validate=*/true);
+  EventSource &Src = *In.Events;
   Event Buf[4];
   EXPECT_EQ(Src.read(Buf, 4), 0u);
   std::string Msg;

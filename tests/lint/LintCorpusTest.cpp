@@ -2,15 +2,16 @@
 //
 // Every trace in tools/traces/bad/ declares the exact STL0xx code set it
 // must produce in a "# expect:" header. The test runs the full rule set
-// over each file the way st-lint does (streaming, with provenance) and
-// compares code sets — so corpus, codes, and docs/linting.md stay in
-// lockstep — then checks that every error-level entry is rejected by a
-// Strict Session before any analysis result is produced.
+// over each file the way st-lint does (a LintingEventSource over the
+// decoder, with provenance) and compares code sets — so corpus, codes,
+// and docs/linting.md stay in lockstep — then checks that every
+// error-level entry is rejected by a Strict Session before any analysis
+// result is produced.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/EventSource.h"
-#include "lint/Lint.h"
+#include "lint/LintingEventSource.h"
 #include "report/Session.h"
 #include "trace/TraceText.h"
 
@@ -70,22 +71,30 @@ std::set<std::string> expectedCodes(const std::string &Content,
   return Codes;
 }
 
-/// Streams \p Content through the full rule set, st-lint style.
+/// Streams \p Content through the full rule set the way st-lint does: a
+/// plain decoder under a LintingEventSource, read to the end.
 std::vector<LintDiagnostic> lintText(const std::string &Content) {
   MemoryByteSource Bytes(Content);
-  TraceTextParser Parser(Bytes);
+  OpenedEventSource In = openEventSource(Bytes, /*Validate=*/false);
   LintEngine Eng;
   addAllRules(Eng);
-  Event E;
-  int R;
-  while ((R = Parser.next(E)) > 0) {
-    Eng.setProvenance(Parser.line(), 0);
-    Eng.processEvent(E);
+  LintingEventSource Linted(*In.Events, Eng, /*Reject=*/false);
+  Event Buf[64];
+  while (Linted.read(Buf, 64) > 0) {
   }
-  if (R < 0)
-    Eng.report(LintCode::MalformedInput, Parser.error());
-  Eng.finish();
   return Eng.diagnostics();
+}
+
+/// The diagnostics a Session validating in \p Mode reports over \p Content.
+std::vector<LintDiagnostic> sessionDiagnostics(const std::string &Content,
+                                               ValidationMode Mode) {
+  MemoryByteSource Bytes(Content);
+  OpenedEventSource In = openEventSource(Bytes, /*Validate=*/false);
+  SessionOptions Opts;
+  Opts.Validation = Mode;
+  Session S(Opts);
+  S.add(AnalysisKind::STWDC);
+  return S.run(*In.Events).Validation.Diagnostics;
 }
 
 TEST(LintCorpusTest, EveryEntryProducesExactlyItsExpectedCodes) {
@@ -103,12 +112,20 @@ TEST(LintCorpusTest, EveryEntryProducesExactlyItsExpectedCodes) {
 
 TEST(LintCorpusTest, DiagnosticsCarryLineProvenance) {
   // Every event-level diagnostic over a text corpus entry must name the
-  // source line it came from.
+  // source line it came from, whichever path linted it.
   for (const std::string &Name : corpusFiles()) {
     std::string Content = readFile(corpusDir() + "/" + Name);
-    for (const LintDiagnostic &D : lintText(Content)) {
-      if (!D.streamLevel()) {
-        EXPECT_GT(D.Line, 0u) << Name << ": " << formatDiagnostic(D);
+    std::vector<std::pair<const char *, std::vector<LintDiagnostic>>> Runs = {
+        {"st-lint", lintText(Content)},
+        {"warn", sessionDiagnostics(Content, ValidationMode::Warn)},
+        {"strict", sessionDiagnostics(Content, ValidationMode::Strict)}};
+    for (const auto &[Path, Diags] : Runs) {
+      EXPECT_FALSE(Diags.empty()) << Name << " via " << Path;
+      for (const LintDiagnostic &D : Diags) {
+        if (!D.streamLevel()) {
+          EXPECT_GT(D.Line, 0u)
+              << Name << " via " << Path << ": " << formatDiagnostic(D);
+        }
       }
     }
   }

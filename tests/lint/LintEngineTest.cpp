@@ -1,6 +1,6 @@
 //===- tests/lint/LintEngineTest.cpp - Lint engine and rule units ---------===//
 
-#include "lint/Lint.h"
+#include "lint/LintingEventSource.h"
 #include "trace/Trace.h"
 
 #include <gtest/gtest.h>
@@ -227,24 +227,52 @@ TEST(LintRulesTest, NearCapThreadIdWarnsOnce) {
   EXPECT_EQ(NearCap, 1u);
 }
 
-TEST(WellFormedCheckerTest, AdapterAggregatesAllViolations) {
-  WellFormedChecker Checker;
-  EXPECT_TRUE(Checker.check(Event(EventKind::Acquire, 0, 0)));
-  EXPECT_FALSE(Checker.check(Event(EventKind::Acquire, 1, 0)));
-  EXPECT_FALSE(Checker.check(Event(EventKind::Release, 2, 1)))
-      << "keeps returning false, keeps collecting";
-  EXPECT_TRUE(Checker.failed());
-  const std::string &Msg = Checker.error();
+TEST(LintingEventSourceTest, AggregatesAllViolations) {
+  Trace Tr({Event(EventKind::Acquire, 0, 0), Event(EventKind::Acquire, 1, 0),
+            Event(EventKind::Release, 2, 1)});
+  TraceEventSource Inner(Tr);
+  LintEngine Eng;
+  addHardRules(Eng);
+  LintingEventSource Src(Inner, Eng, /*Reject=*/false);
+  Event Buf[4];
+  EXPECT_EQ(Src.read(Buf, 4), 1u) << "delivers the well-formed prefix";
+  EXPECT_EQ(Src.read(Buf, 4), 0u) << "then stops, but keeps collecting";
+  EXPECT_TRUE(Src.cut());
+  std::string Msg;
+  ASSERT_TRUE(Src.error(&Msg));
   EXPECT_NE(Msg.find("acquire of a held lock"), std::string::npos) << Msg;
   EXPECT_NE(Msg.find("does not hold"), std::string::npos) << Msg;
-  EXPECT_EQ(Checker.engine().errorCount(), 2u);
+  EXPECT_EQ(Eng.errorCount(), 2u);
 }
 
-TEST(WellFormedCheckerTest, MoveKeepsState) {
-  WellFormedChecker A;
-  A.check(Event(EventKind::Release, 0, 0));
-  WellFormedChecker B = std::move(A);
-  EXPECT_TRUE(B.failed());
+TEST(LintingEventSourceTest, DecodeErrorAfterCutIsDiagnosedNotAppended) {
+  // The error message lists the hard violations only; the decode error
+  // that ends the drain still reaches the diagnostics as STL008.
+  MemoryByteSource Bytes("T1: rel(m)\nT1: frobnicate(x)\n");
+  OpenedEventSource In = openEventSource(Bytes, /*Validate=*/true);
+  Event Buf[4];
+  EXPECT_EQ(In.Events->read(Buf, 4), 0u);
+  std::string Msg;
+  ASSERT_TRUE(In.Events->error(&Msg));
+  EXPECT_EQ(Msg.find("frobnicate"), std::string::npos) << Msg;
+  EXPECT_NE(Msg.find("event 0 (line 1): error STL002"), std::string::npos)
+      << Msg;
+  ASSERT_NE(In.Lint, nullptr);
+  EXPECT_TRUE(hasCode(In.Lint->diagnostics(), LintCode::MalformedInput));
+}
+
+TEST(LintingEventSourceTest, ForwardsPositionsOfTheDeliveredPrefix) {
+  MemoryByteSource Bytes("T1: acq(m)\n# c\nT1: wr(x)\nT2: rel(m)\n");
+  OpenedEventSource In = openEventSource(Bytes, /*Validate=*/true);
+  Event Buf[8];
+  ASSERT_EQ(In.Events->read(Buf, 8), 2u);
+  ASSERT_NE(In.Events->eventLines(), nullptr);
+  EXPECT_EQ(In.Events->eventLines()[0], 1u);
+  EXPECT_EQ(In.Events->eventLines()[1], 3u);
+  EXPECT_EQ(In.Events->read(Buf, 8), 0u);
+  std::string Msg;
+  ASSERT_TRUE(In.Events->error(&Msg));
+  EXPECT_NE(Msg.find("event 2 (line 4)"), std::string::npos) << Msg;
 }
 
 TEST(TraceValidateTest, AggregatesEveryViolation) {

@@ -15,6 +15,7 @@
 
 #include "engine/EventSource.h"
 #include "graph/EdgeRecorder.h"
+#include "trace/Stb.h"
 #include "trace/TraceText.h"
 #include "workload/RandomTrace.h"
 
@@ -239,7 +240,7 @@ TEST(SessionTest, WarnModeAnalyzesTheValidPrefixAndKeepsItsResults) {
   // would withhold everything.
   const char *Text = "T1: wr(x)\nT2: wr(x)\nT2: rel(m)\n";
   MemoryByteSource Bytes(Text);
-  TextEventSource Src(Bytes, /*Validate=*/false);
+  TextEventSource Src(Bytes);
   SessionOptions Opts;
   Opts.Validation = ValidationMode::Warn;
   Session S(Opts);
@@ -268,6 +269,34 @@ TEST(SessionTest, WarnModeCountsSoftLintsOnCleanTraces) {
   EXPECT_EQ(Rep.Validation.Errors, 0u);
   EXPECT_GT(Rep.Validation.Warnings, 0u) << "lock still held at end";
   ASSERT_EQ(Rep.Analyses.size(), 1u);
+}
+
+TEST(SessionTest, WarnModeChecksTheStbHeaderSiteTable) {
+  // The STB header declares two sites; the access at site 5 is STL024,
+  // located by the end byte of its record.
+  std::string Encoded;
+  StringByteSink Sink(Encoded);
+  StbWriter W(Sink);
+  StbHeader H;
+  H.NumSites = 2;
+  ASSERT_TRUE(W.writeHeader(H));
+  ASSERT_TRUE(W.writeEvent(Event(EventKind::Read, 0, 0, /*Site=*/1)));
+  ASSERT_TRUE(W.writeEvent(Event(EventKind::Write, 0, 0, /*Site=*/5)));
+  MemoryByteSource Bytes(Encoded);
+  OpenedEventSource In = openEventSource(Bytes, /*Validate=*/false);
+  SessionOptions Opts;
+  Opts.Validation = ValidationMode::Warn;
+  Session S(Opts);
+  S.add(AnalysisKind::STWDC);
+  RunReport Rep = S.run(*In.Events);
+  const LintDiagnostic *Site = nullptr;
+  for (const LintDiagnostic &D : Rep.Validation.Diagnostics)
+    if (D.Code == LintCode::SiteOutOfTable)
+      Site = &D;
+  ASSERT_NE(Site, nullptr);
+  EXPECT_EQ(Site->EventIdx, 1u);
+  EXPECT_NE(Site->Byte, 0u);
+  EXPECT_EQ(Site->Byte, Encoded.size());
 }
 
 TEST(SessionTest, StrictModeAcceptsWellFormedTraces) {

@@ -311,6 +311,30 @@ TEST(ServeIntegration, StrictValidationRejectsOverTheWire) {
   EXPECT_EQ(Srv.stats().Rejected, 1u);
 }
 
+TEST(ServeIntegration, WarnDiagFramesCarryTheSourceLine) {
+  ServerOptions SO;
+  SO.Workers = 1;
+  Server Srv(SO);
+  std::string Path = uniqueSocketPath("warn");
+  std::string Err;
+  ASSERT_TRUE(Srv.addUnixListener(Path, &Err)) << Err;
+  ASSERT_TRUE(Srv.start(&Err)) << Err;
+
+  // The unheld release on line 3 is a hard violation: Warn cuts before
+  // it, and its DIAG frame points at the line of the upload.
+  HelloOptions Hello;
+  Hello.Validation = 1; // Warn
+  ClientResult R = runRawClient(
+      Path, buildConversation(Hello, "T0: wr(x)\n# c\nT1: rel(m0)\n"));
+  ASSERT_TRUE(R.ParseClean) << R.Error;
+  std::string Diags = R.payloads(FrameType::Diag);
+  EXPECT_NE(Diags.find("\"code\":\"STL002\""), std::string::npos) << Diags;
+  EXPECT_NE(Diags.find("\"line\":3"), std::string::npos) << Diags;
+  EXPECT_EQ(R.count(FrameType::Error), 0u);
+
+  Srv.stop();
+}
+
 TEST(ServeIntegration, MemoryBudgetEvictsGracefully) {
   // A 1-byte budget with a small batch size: the first footprint check
   // after a processed batch breaches, and the connection is evicted with

@@ -155,6 +155,20 @@ TEST(LintCli, MessagesSpellTheSourceNames) {
   EXPECT_EQ(R.Output.find("m0"), std::string::npos) << R.Output;
 }
 
+TEST(LintCli, VolatileAliasComparesSpelledNames) {
+  // The DSL interns variables and volatiles in separate tables that both
+  // start at 0: x and flag share id 0 but are different objects.
+  RunResult R = runCommand(
+      "printf 'T1: wr(x)\\nT1: vwr(flag)\\nT2: vrd(flag)\\nT2: rd(x)\\n' | " +
+      cli());
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(R.Output.find("STL023"), std::string::npos) << R.Output;
+  // One name used both ways still is.
+  R = runCommand(cli() + " " + trace("bad/note_vol_alias.trace"));
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("note STL023"), std::string::npos) << R.Output;
+}
+
 TEST(LintCli, UnknownOptionExitsOne) {
   RunResult R = runCommand(cli() + " --no-such-flag");
   EXPECT_EQ(R.ExitCode, 1) << R.Output;

@@ -22,10 +22,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "lint/Lint.h"
+#include "engine/EventSource.h"
+#include "lint/LintingEventSource.h"
 #include "report/RaceSink.h"
 #include "support/Json.h"
-#include "trace/Stb.h"
 #include "trace/TraceText.h"
 
 #include <cerrno>
@@ -33,6 +33,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 using namespace st;
 
@@ -292,11 +293,12 @@ int main(int Argc, char **Argv) {
   }
   const char *Label = UseStdin ? "<stdin>" : Opts.Path;
 
+  // The input is linted the way every stream is: a plain decoder
+  // (format sniffed from the first bytes) under a LintingEventSource,
+  // which supplies each event's line or byte and the STB header's
+  // declarations and drains the input past the first error.
   FileByteSource Bytes(In);
-  PeekableByteSource Peek(Bytes);
-  char Magic[sizeof(StbMagic)];
-  bool IsStb = Peek.peek(Magic, sizeof(Magic)) == sizeof(StbMagic) &&
-               std::memcmp(Magic, StbMagic, sizeof(StbMagic)) == 0;
+  OpenedEventSource Input = openEventSource(Bytes, /*Validate=*/false);
 
   // Store nothing in the engine: the printer streams diagnostics out at
   // report time, so memory stays O(names) however many findings the
@@ -309,51 +311,19 @@ int main(int Argc, char **Argv) {
   else
     addAllRules(Eng);
 
-  // The parser is constructed for both formats but only reads text
-  // inputs; its name tables spell ids in the messages and the bracket.
-  TraceTextParser Parser(Peek);
-  if (!IsStb)
-    Eng.setNames(&Parser);
+  // The parser's name tables spell ids in the messages and the bracket.
+  const TraceTextParser *Parser = Input.textParser();
   DiagnosticPrinter Printer(Opts, Label,
-                            IsStb ? nullptr : &Parser.threadNames());
+                            Parser ? &Parser->threadNames() : nullptr);
   Eng.setDiagnosticCallback(
       [&Printer](const LintDiagnostic &D) { Printer.print(D); });
 
-  Event E;
-  if (IsStb) {
-    StbReader Reader(Peek);
-    if (Reader.readHeader()) {
-      const StbHeader &H = Reader.header();
-      LintDeclared Declared;
-      Declared.Threads = H.NumThreads;
-      Declared.Vars = H.NumVars;
-      Declared.Locks = H.NumLocks;
-      Declared.Volatiles = H.NumVolatiles;
-      Declared.Sites = H.NumSites;
-      Declared.Events = H.EventCount;
-      Eng.setDeclared(Declared);
-      int R;
-      while ((R = Reader.next(E)) > 0) {
-        Eng.setProvenance(0, Reader.bytesConsumed());
-        Eng.processEvent(E);
-      }
-      if (R < 0)
-        Eng.report(LintCode::MalformedInput, Reader.error());
-    } else {
-      Eng.report(LintCode::MalformedInput, Reader.error());
-    }
-  } else {
-    int R;
-    while ((R = Parser.next(E)) > 0) {
-      Eng.setProvenance(Parser.line(), 0);
-      Eng.processEvent(E);
-    }
-    if (R < 0)
-      Eng.report(LintCode::MalformedInput, Parser.error());
+  // Read to the end; the wrapper finishes the engine there, so the
+  // end-of-stream lints also run after a decode error.
+  LintingEventSource Linted(*Input.Events, Eng, /*Reject=*/false);
+  std::vector<Event> Buf(1024);
+  while (Linted.read(Buf.data(), Buf.size()) > 0) {
   }
-  // End-of-stream lints still run after a decode error: what was decoded
-  // is worth diagnosing, and the summary marks the input failed anyway.
-  Eng.finish();
 
   if (!UseStdin)
     std::fclose(In);
