@@ -65,7 +65,7 @@ void LintEngine::reportAs(LintCode Code, LintSeverity Severity,
     ++Notes;
     break;
   }
-  if (Diags.size() >= Opts.MaxStoredDiagnostics && !Callback) {
+  if (!keepsDiagnostics()) {
     ++Dropped;
     return;
   }

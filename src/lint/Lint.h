@@ -130,6 +130,14 @@ public:
   /// As report(), with an explicit severity override.
   void reportAs(LintCode Code, LintSeverity Severity, std::string Message);
 
+  /// True when a diagnostic reported now is kept: stored, or passed to
+  /// the callback. Past the store's cap with no callback, report() only
+  /// counts it, so rules may pass an empty message instead of building
+  /// one.
+  bool keepsDiagnostics() const {
+    return Callback || Diags.size() < Opts.MaxStoredDiagnostics;
+  }
+
   const std::vector<LintDiagnostic> &diagnostics() const { return Diags; }
   uint64_t droppedDiagnostics() const { return Dropped; }
 

@@ -64,6 +64,15 @@ std::string describeEvent(const Event &E, const LintEngine &Eng) {
          Target + ')';
 }
 
+/// Reports \p Code about \p E with the message "<event>: <Detail>",
+/// built only when the engine keeps the diagnostic.
+void reportEvent(LintEngine &Eng, LintCode Code, const Event &E,
+                 const char *Detail) {
+  Eng.report(Code, Eng.keepsDiagnostics()
+                       ? describeEvent(E, Eng) + ": " + Detail
+                       : std::string());
+}
+
 //===----------------------------------------------------------------------===//
 // Hard rules
 //===----------------------------------------------------------------------===//
@@ -74,9 +83,8 @@ class IdRangeRule : public StreamRule {
 public:
   void onEvent(const Event &E, LintEngine &Eng) override {
     if (E.Tid >= LintEngine::MaxCheckableIds) {
-      Eng.report(LintCode::IdOutOfRange,
-                 describeEvent(E, Eng) +
-                     ": thread id out of range (ids must be dense)");
+      reportEvent(Eng, LintCode::IdOutOfRange, E,
+                  "thread id out of range (ids must be dense)");
       return;
     }
     const char *Space = nullptr;
@@ -106,9 +114,8 @@ public:
     }
     if (isAccess(E.Kind) && E.Site != InvalidId &&
         E.Site >= LintEngine::MaxCheckableIds)
-      Eng.report(LintCode::IdOutOfRange,
-                 describeEvent(E, Eng) +
-                     ": site id out of range (ids must be dense)");
+      reportEvent(Eng, LintCode::IdOutOfRange, E,
+                  "site id out of range (ids must be dense)");
   }
 };
 
@@ -134,9 +141,8 @@ public:
       Holder[M] = E.Tid;
     } else {
       if (Holder[M] != E.Tid)
-        Eng.report(LintCode::ReleaseUnheld,
-                   describeEvent(E, Eng) +
-                       ": release of a lock the thread does not hold");
+        reportEvent(Eng, LintCode::ReleaseUnheld, E,
+                    "release of a lock the thread does not hold");
       Holder[M] = InvalidId;
     }
   }
@@ -159,35 +165,31 @@ public:
       Forked.resize(MaxTid + 1, 0);
     }
     if (Joined[E.Tid]) {
-      Eng.report(LintCode::RunAfterJoin,
-                 describeEvent(E, Eng) + ": thread runs after being joined");
+      reportEvent(Eng, LintCode::RunAfterJoin, E,
+                  "thread runs after being joined");
       return;
     }
     Started[E.Tid] = 1; // unforked root threads are permitted
     if (E.Kind == EventKind::Fork) {
       ThreadId C = E.childTid();
       if (C == E.Tid) {
-        Eng.report(LintCode::SelfForkJoin,
-                   describeEvent(E, Eng) + ": thread forks itself");
+        reportEvent(Eng, LintCode::SelfForkJoin, E, "thread forks itself");
         return;
       }
       if (Started[C] || Forked[C]) {
-        Eng.report(LintCode::ForkOfStarted,
-                   describeEvent(E, Eng) +
-                       ": fork of a thread that already ran or was forked");
+        reportEvent(Eng, LintCode::ForkOfStarted, E,
+                    "fork of a thread that already ran or was forked");
         return;
       }
       Forked[C] = 1;
     } else if (E.Kind == EventKind::Join) {
       ThreadId C = E.childTid();
       if (C == E.Tid) {
-        Eng.report(LintCode::SelfForkJoin,
-                   describeEvent(E, Eng) + ": thread joins itself");
+        reportEvent(Eng, LintCode::SelfForkJoin, E, "thread joins itself");
         return;
       }
       if (Joined[C]) {
-        Eng.report(LintCode::DoubleJoin,
-                   describeEvent(E, Eng) + ": thread joined twice");
+        reportEvent(Eng, LintCode::DoubleJoin, E, "thread joined twice");
         return;
       }
       Joined[C] = 1;
@@ -273,8 +275,8 @@ public:
     if (E.Tid >= Pending.size())
       Pending.resize(E.Tid + 1, InvalidId);
     if (E.Kind == EventKind::Release && Pending[E.Tid] == E.lock())
-      Eng.report(LintCode::EmptyCriticalSection,
-                 describeEvent(E, Eng) + ": empty critical section");
+      reportEvent(Eng, LintCode::EmptyCriticalSection, E,
+                  "empty critical section");
     Pending[E.Tid] =
         E.Kind == EventKind::Acquire ? E.lock() : InvalidId;
   }

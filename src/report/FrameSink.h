@@ -8,8 +8,9 @@
 /// The serving layer's race reporter: a RaceSink that renders each report
 /// with the ordinary NdjsonSink (so wire race lines are byte-identical to
 /// st-analyze --format=ndjson output) and ships every line as one RACE
-/// frame. Constant memory per connection — the staging buffer holds one
-/// line at a time — and the same symbol-snapshot discipline as the NDJSON
+/// frame. NdjsonSink hands each line to its ByteSink in one write, so the
+/// line goes straight from its buffer into the frame: constant memory per
+/// connection, and the same symbol-snapshot discipline as the NDJSON
 /// sink, so framed symbolic output is safe at engine quiet points.
 ///
 //===----------------------------------------------------------------------===//
@@ -21,6 +22,7 @@
 #include "serve/Frame.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace st {
@@ -30,8 +32,7 @@ namespace st {
 /// dropped) so a hung-up client cannot wedge the analysis loop.
 class FrameSink : public RaceSink {
 public:
-  explicit FrameSink(FrameWriter &Frames)
-      : BufferSink(Buffer), Json(BufferSink), Frames(Frames) {}
+  explicit FrameSink(FrameWriter &Frames) : Lines(Frames), Json(Lines) {}
 
   /// See NdjsonSink::setSymbols / refreshSymbols / setMaxRacesPerAnalysis.
   void setSymbols(const std::vector<std::string> *Threads,
@@ -41,17 +42,23 @@ public:
   void refreshSymbols() { Json.refreshSymbols(); }
   void setMaxRacesPerAnalysis(size_t N) { Json.setMaxRacesPerAnalysis(N); }
 
-  void onRace(const RaceReport &R) override;
+  void onRace(const RaceReport &R) override { Json.onRace(R); }
 
   /// False after any frame write failure.
-  bool ok() const { return !WriteFailed && Frames.ok(); }
+  bool ok() const { return Json.ok() && Lines.Frames.ok(); }
 
 private:
-  std::string Buffer;
-  StringByteSink BufferSink;
+  /// Ships each write (one race line) as one RACE frame.
+  struct RaceFrames : ByteSink {
+    explicit RaceFrames(FrameWriter &Frames) : Frames(Frames) {}
+    bool write(const char *Buf, size_t N) override {
+      return Frames.write(FrameType::Race, std::string_view(Buf, N));
+    }
+    FrameWriter &Frames;
+  };
+
+  RaceFrames Lines;
   NdjsonSink Json;
-  FrameWriter &Frames;
-  bool WriteFailed = false;
 };
 
 } // namespace st

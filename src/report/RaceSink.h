@@ -31,6 +31,7 @@
 #include "support/Json.h" // re-exported: JSON consumers of race reports
 #include "support/Types.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -74,9 +75,24 @@ struct RaceReport {
   const char *AnalysisName = "";
 };
 
-/// "line:<id>" for explicit sites, "var:<id>" for fallback sites — the
-/// canonical human/JSON spelling shared by every reporter.
+/// Longest writeRaceSite spelling: "line:" and a 32-bit id.
+inline constexpr size_t MaxRaceSiteChars = 15;
+
+/// Writes "line:<id>" for explicit sites, "var:<id>" for fallback sites —
+/// the canonical human/JSON spelling shared by every reporter — at \p P,
+/// which has room for MaxRaceSiteChars; returns the end.
+char *writeRaceSite(char *P, const RaceReport &R);
+
+/// Appends the writeRaceSite spelling.
+void appendRaceSite(std::string &Out, const RaceReport &R);
+
+/// appendRaceSite's spelling as a new string.
 std::string raceSiteString(const RaceReport &R);
+
+/// Appends symbol \p Id as a JSON string: Names[Id] escaped when the
+/// table is present and in range, else the quoted "<Prefix><Id>".
+void jsonAppendSymbol(std::string &Out, const std::vector<std::string> *Names,
+                      uint32_t Id, char Prefix);
 
 /// Abstract push-based race consumer. onRace() is called once per counted
 /// dynamic race (reports are already deduplicated per access event by the
@@ -194,6 +210,12 @@ private:
 /// parallel engine's decode thread interns names mid-parse) as long as
 /// refreshSymbols() is only called at quiet points
 /// (SessionOptions::OnBatchPublish).
+///
+/// A race line makes no heap allocation once each analysis has emitted
+/// one: the snapshot holds names already escaped and quoted, each
+/// analysis's line prefix is escaped once at its first report, and every
+/// line is assembled in one reused buffer and handed to the ByteSink in
+/// a single write() (FrameSink relies on this to frame lines).
 class NdjsonSink : public RaceSink {
 public:
   explicit NdjsonSink(ByteSink &Out) : Out(Out) {}
@@ -208,6 +230,7 @@ public:
     LiveVarNames = Vars;
     ThreadSnapshot.clear();
     VarSnapshot.clear();
+    LongestThread = LongestVar = 0;
     refreshSymbols();
   }
 
@@ -217,14 +240,18 @@ public:
   /// point is exactly that.
   void refreshSymbols() {
     auto Append = [](const std::vector<std::string> *Live,
-                     std::vector<std::string> &Snap) {
+                     std::vector<std::string> &Snap, size_t &Longest) {
       if (!Live)
         return;
-      for (size_t I = Snap.size(); I < Live->size(); ++I)
-        Snap.push_back((*Live)[I]);
+      for (size_t I = Snap.size(); I < Live->size(); ++I) {
+        std::string Quoted;
+        jsonAppendEscaped(Quoted, (*Live)[I]);
+        Longest = std::max(Longest, Quoted.size());
+        Snap.push_back(std::move(Quoted));
+      }
     };
-    Append(LiveThreadNames, ThreadSnapshot);
-    Append(LiveVarNames, VarSnapshot);
+    Append(LiveThreadNames, ThreadSnapshot, LongestThread);
+    Append(LiveVarNames, VarSnapshot, LongestVar);
   }
 
   /// Caps emitted race lines per reporting analysis (counting sinks are
@@ -237,17 +264,35 @@ public:
   bool ok() const { return !WriteFailed; }
 
 private:
+  /// What the sink keeps per reporting analysis, keyed by name pointer
+  /// (names are stable for the analysis's lifetime).
+  struct AnalysisLines {
+    const char *Name;
+    /// `{"type":"race","analysis":"<escaped name>","event":`
+    std::string Prefix;
+    size_t Emitted;
+  };
+
+  AnalysisLines &linesFor(const char *Name);
+
   ByteSink &Out;
   /// Live tables (borrowed; may grow on the decode thread) and the
-  /// sink-owned snapshots every emit reads from.
+  /// sink-owned snapshots every emit reads from, JSON-escaped and quoted.
   const std::vector<std::string> *LiveThreadNames = nullptr;
   const std::vector<std::string> *LiveVarNames = nullptr;
   std::vector<std::string> ThreadSnapshot;
   std::vector<std::string> VarSnapshot;
+  /// Longest entry of each snapshot, so a line's buffer is sized by the
+  /// tables rather than by the names in it: it stops growing once every
+  /// analysis has reported (until a refresh adds a longer name).
+  size_t LongestThread = 0;
+  size_t LongestVar = 0;
   size_t MaxPerAnalysis = SIZE_MAX;
-  /// Emitted-line counts per analysis name (identity by pointer: names
-  /// are stable for the analysis's lifetime). One entry per analysis.
-  std::vector<std::pair<const char *, size_t>> Emitted;
+  /// One entry per analysis seen; Current indexes the last one used.
+  std::vector<AnalysisLines> Analyses;
+  size_t Current = 0;
+  /// The line being assembled.
+  std::vector<char> Line;
   bool WriteFailed = false;
 };
 

@@ -7,6 +7,7 @@
 #include "trace/TraceText.h"
 
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 
 using namespace st;
@@ -252,11 +253,27 @@ Trace st::traceFromText(std::string_view Text) {
   return std::move(P.Tr);
 }
 
+char *st::writeSymbolId(char *P, uint32_t Id, char Prefix) {
+  *P = Prefix;
+  return std::to_chars(P + 1, P + MaxSymbolIdChars, Id).ptr;
+}
+
+void st::appendSymbolOrId(std::string &Out,
+                          const std::vector<std::string> *Names, uint32_t Id,
+                          char Prefix) {
+  if (Names && Id < Names->size()) {
+    Out += (*Names)[Id];
+    return;
+  }
+  char Buf[MaxSymbolIdChars];
+  Out.append(Buf, writeSymbolId(Buf, Id, Prefix));
+}
+
 std::string st::symbolOrId(const std::vector<std::string> *Names,
                            uint32_t Id, char Prefix) {
-  if (Names && Id < Names->size())
-    return (*Names)[Id];
-  return Prefix + std::to_string(Id);
+  std::string Out;
+  appendSymbolOrId(Out, Names, Id, Prefix);
+  return Out;
 }
 
 bool st::printTraceTextEvent(const Event &E, ByteSink &Sink,
@@ -264,26 +281,27 @@ bool st::printTraceTextEvent(const Event &E, ByteSink &Sink,
                              const std::vector<std::string> *VarNames,
                              const std::vector<std::string> *LockNames,
                              const std::vector<std::string> *VolNames) {
-  std::string Out = symbolOrId(ThreadNames, E.Tid, 'T');
+  std::string Out;
+  appendSymbolOrId(Out, ThreadNames, E.Tid, 'T');
   Out += ": ";
   Out += eventKindName(E.Kind);
   Out += '(';
   switch (E.Kind) {
   case EventKind::Read:
   case EventKind::Write:
-    Out += symbolOrId(VarNames, E.Target, 'x');
+    appendSymbolOrId(Out, VarNames, E.Target, 'x');
     break;
   case EventKind::Acquire:
   case EventKind::Release:
-    Out += symbolOrId(LockNames, E.Target, 'm');
+    appendSymbolOrId(Out, LockNames, E.Target, 'm');
     break;
   case EventKind::VolRead:
   case EventKind::VolWrite:
-    Out += symbolOrId(VolNames, E.Target, 'v');
+    appendSymbolOrId(Out, VolNames, E.Target, 'v');
     break;
   case EventKind::Fork:
   case EventKind::Join:
-    Out += symbolOrId(ThreadNames, E.Target, 'T');
+    appendSymbolOrId(Out, ThreadNames, E.Target, 'T');
     break;
   }
   Out += ")\n";

@@ -64,9 +64,21 @@ private:
   std::vector<uint32_t> Index; // open addressing; InvalidId = empty slot
 };
 
-/// Names[Id] when the table is present and in range, else the canonical
-/// "<Prefix><Id>" spelling ("T3", "x7") — the one id-to-symbol formatter
-/// for printed traces, race reports and lint messages.
+/// Longest writeSymbolId spelling: the prefix and a 32-bit id.
+inline constexpr size_t MaxSymbolIdChars = 11;
+
+/// Writes the canonical "<Prefix><Id>" spelling ("T3", "x7") of an id
+/// without a name at \p P, which has room for MaxSymbolIdChars; returns
+/// the end. The one fallback for printed traces, race reports and lint
+/// messages.
+char *writeSymbolId(char *P, uint32_t Id, char Prefix);
+
+/// Appends Names[Id] when the table is present and in range, else the
+/// writeSymbolId spelling.
+void appendSymbolOrId(std::string &Out, const std::vector<std::string> *Names,
+                      uint32_t Id, char Prefix);
+
+/// appendSymbolOrId's spelling as a new string.
 std::string symbolOrId(const std::vector<std::string> *Names, uint32_t Id,
                        char Prefix);
 

@@ -2,7 +2,8 @@
 //
 // The report layer's contract: CountingSink reproduces the paper's §5.1
 // accounting bit-for-bit, CollectingSink bounds storage without touching
-// counts, NdjsonSink emits stable one-line JSON, TeeSink preserves
+// counts, NdjsonSink emits stable one-line JSON (the same bytes whether
+// it writes a stream or FrameSink wraps it in frames), TeeSink preserves
 // registration order, and reports pushed by real analyses carry correct
 // provenance for both explicit and fallback sites.
 //
@@ -11,6 +12,8 @@
 #include "report/RaceSink.h"
 
 #include "analysis/AnalysisRegistry.h"
+#include "report/FrameSink.h"
+#include "serve/Frame.h"
 #include "trace/TraceText.h"
 
 #include <gtest/gtest.h>
@@ -231,6 +234,146 @@ TEST(NdjsonSinkTest, PerAnalysisLineCap) {
     Lines += C == '\n';
   EXPECT_EQ(Lines, 2u) << Out;
   EXPECT_EQ(Out.find("\"event\":3"), std::string::npos) << Out;
+}
+
+TEST(NdjsonSinkTest, AlternatingAnalysesKeepTheirOwnPrefix) {
+  std::string Out;
+  StringByteSink Bytes(Out);
+  NdjsonSink S(Bytes);
+
+  RaceReport A = makeReport(1, 1, SiteProvenance::Explicit);
+  A.AnalysisName = "ST-WDC";
+  RaceReport B = makeReport(2, 1, SiteProvenance::Explicit);
+  B.AnalysisName = "a \"quoted\" name";
+  S.onRace(A);
+  S.onRace(B);
+  A.EventIdx = 3;
+  S.onRace(A);
+  B.EventIdx = 4;
+  S.onRace(B);
+
+  const std::string Tail =
+      ",\"kind\":\"write\",\"var\":\"x0\",\"thread\":\"T2\","
+      "\"site\":\"line:1\"}\n";
+  const std::string PrefixA =
+      "{\"type\":\"race\",\"analysis\":\"ST-WDC\",\"event\":";
+  const std::string PrefixB = "{\"type\":\"race\",\"analysis\":"
+                              "\"a \\\"quoted\\\" name\",\"event\":";
+  EXPECT_EQ(Out, PrefixA + "1" + Tail + PrefixB + "2" + Tail + PrefixA + "3" +
+                     Tail + PrefixB + "4" + Tail);
+}
+
+TEST(NdjsonSinkTest, RefreshSymbolsPicksUpNamesInternedMidStream) {
+  std::string Out;
+  StringByteSink Bytes(Out);
+  NdjsonSink S(Bytes);
+  std::vector<std::string> Threads = {"main"};
+  std::vector<std::string> Vars = {"a"};
+  S.setSymbols(&Threads, &Vars);
+
+  RaceReport R = makeReport(1, 2, SiteProvenance::Explicit, /*Var=*/1);
+  R.Tid = 1;
+  Threads.push_back("worker");
+  Vars.push_back("b");
+  S.onRace(R); // the snapshot predates the new names
+  EXPECT_NE(Out.find("\"var\":\"x1\",\"thread\":\"T1\""),
+            std::string::npos)
+      << Out;
+
+  Out.clear();
+  S.refreshSymbols();
+  S.onRace(R);
+  EXPECT_NE(Out.find("\"var\":\"b\",\"thread\":\"worker\""),
+            std::string::npos)
+      << Out;
+}
+
+TEST(NdjsonSinkTest, EscapesNamesOfAnyLength) {
+  std::string Out;
+  StringByteSink Bytes(Out);
+  NdjsonSink S(Bytes);
+  const std::string Long(10 * 1024, 't');
+  std::vector<std::string> Threads = {"main", Long};
+  std::vector<std::string> Vars = {"q\"uote", "back\\slash",
+                                   std::string("ctl\x01") + "\n"};
+  S.setSymbols(&Threads, &Vars);
+
+  // A line with the long name twice (thread and prior thread), then short
+  // lines that reuse the grown buffer.
+  for (VarId V = 0; V != 3; ++V) {
+    RaceReport R = makeReport(V, 5, SiteProvenance::Explicit, V);
+    R.Tid = 1;
+    R.Prior = Epoch::make(1, 4);
+    S.onRace(R);
+  }
+  RaceReport Short = makeReport(9, 5, SiteProvenance::Explicit, /*Var=*/0);
+  Short.Tid = 0;
+  S.onRace(Short);
+
+  const std::string Quoted = "\"" + Long + "\"";
+  std::string Expected;
+  const char *EscapedVars[] = {"\"q\\\"uote\"", "\"back\\\\slash\"",
+                               "\"ctl\\u0001\\n\""};
+  for (int V = 0; V != 3; ++V)
+    Expected += "{\"type\":\"race\",\"analysis\":\"Test\",\"event\":" +
+                std::to_string(V) + ",\"kind\":\"write\",\"var\":" +
+                EscapedVars[V] + ",\"thread\":" + Quoted +
+                ",\"site\":\"line:5\",\"prior_thread\":" + Quoted +
+                ",\"prior_clock\":4}\n";
+  Expected += "{\"type\":\"race\",\"analysis\":\"Test\",\"event\":9,"
+              "\"kind\":\"write\",\"var\":\"q\\\"uote\",\"thread\":\"main\","
+              "\"site\":\"line:5\"}\n";
+  EXPECT_EQ(Out, Expected);
+}
+
+TEST(NdjsonSinkTest, NoPriorAndFallbackSite) {
+  std::string Out;
+  StringByteSink Bytes(Out);
+  NdjsonSink S(Bytes);
+  std::vector<std::string> Vars = {"a", "b", "c"};
+  S.setSymbols(nullptr, &Vars);
+
+  RaceReport R = makeReport(UINT64_MAX, /*Site=*/2, SiteProvenance::FallbackVar,
+                            /*Var=*/2);
+  R.Tid = UINT32_MAX - 1;
+  R.IsWrite = false;
+  S.onRace(R);
+  EXPECT_EQ(Out, "{\"type\":\"race\",\"analysis\":\"Test\","
+                 "\"event\":18446744073709551615,\"kind\":\"read\","
+                 "\"var\":\"c\",\"thread\":\"T4294967294\","
+                 "\"site\":\"var:2\"}\n");
+  EXPECT_EQ(raceSiteString(R), "var:2");
+}
+
+TEST(NdjsonSinkTest, FramePayloadIsTheNdjsonLine) {
+  std::vector<std::string> Threads = {"main", "work\"er"};
+  std::vector<std::string> Vars = {"counter"};
+  RaceReport R = makeReport(7, 3, SiteProvenance::Explicit, /*Var=*/0);
+  R.Tid = 1;
+  R.AnalysisName = "ST-WDC";
+  R.Prior = Epoch::make(0, 2);
+
+  std::string Line;
+  StringByteSink LineBytes(Line);
+  NdjsonSink Json(LineBytes);
+  Json.setSymbols(&Threads, &Vars);
+  Json.onRace(R);
+
+  std::string Wire;
+  StringByteSink WireBytes(Wire);
+  FrameWriter Frames(WireBytes);
+  FrameSink Framed(Frames);
+  Framed.setSymbols(&Threads, &Vars);
+  Framed.onRace(R);
+  EXPECT_TRUE(Framed.ok());
+
+  MemoryByteSource In(Wire);
+  FrameReader Reader(In);
+  Frame F;
+  ASSERT_EQ(Reader.next(F), 1) << Reader.error();
+  EXPECT_EQ(F.Type, FrameType::Race);
+  EXPECT_EQ(F.Payload, Line);
+  EXPECT_EQ(Reader.next(F), 0);
 }
 
 } // namespace

@@ -86,7 +86,8 @@ echo "== NDJSON race stream, 256MB cap, every line valid JSON"
 # Races stream out through the NdjsonSink as they are detected, so even a
 # racy 1M-event run holds O(1) race memory (hence the same cap as the
 # single-analysis cell). Every emitted line must parse as a standalone
-# JSON object.
+# JSON object, and there must be exactly one race line per dynamic race
+# the summary counts.
 rc=0
 (
     ulimit -v 262144
@@ -107,7 +108,16 @@ if ! grep -q '"type":"summary"' "$DIR/races.ndjson"; then
     echo "FAIL: ndjson output is missing the summary line"
     exit 1
 fi
-echo "   $race_lines race lines + summaries, all valid JSON"
+dynamic_races=$(sed -n \
+    's/^{"type":"summary".*"dynamic_races":\([0-9]*\).*/\1/p' \
+    "$DIR/races.ndjson")
+if [ "$race_lines" != "$dynamic_races" ]; then
+    echo "FAIL: $race_lines race lines, but the summary counts" \
+         "'$dynamic_races' dynamic races"
+    exit 1
+fi
+echo "   $race_lines race lines (= the summary's dynamic_races) + summaries," \
+     "all valid JSON"
 
 echo "== text and STB encodings agree on every analysis"
 for f in big.trace big.stb; do

@@ -579,19 +579,19 @@ std::string jsonReport(const RunReport &Rep, const Options &Opts,
         Out += R.IsWrite ? ",\"kind\":\"write\""
                          : ",\"kind\":\"read\"";
         Out += ",\"var\":";
-        jsonAppendEscaped(Out, symbolOrId(Syms.Vars, R.Var, 'x'));
+        jsonAppendSymbol(Out, Syms.Vars, R.Var, 'x');
         Out += ",\"thread\":";
-        jsonAppendEscaped(Out, symbolOrId(Syms.Threads, R.Tid, 'T'));
-        Out += ",\"site\":";
-        jsonAppendEscaped(Out, raceSiteString(R));
+        jsonAppendSymbol(Out, Syms.Threads, R.Tid, 'T');
+        Out += ",\"site\":\"";
+        appendRaceSite(Out, R);
+        Out += '"';
         if (R.Provenance == SiteProvenance::Explicit) {
           Out += ",\"site_line\":";
           jsonAppendUInt(Out, R.Site);
         }
         if (!R.Prior.isNone()) {
           Out += ",\"prior_thread\":";
-          jsonAppendEscaped(Out,
-                            symbolOrId(Syms.Threads, R.Prior.tid(), 'T'));
+          jsonAppendSymbol(Out, Syms.Threads, R.Prior.tid(), 'T');
           Out += ",\"prior_clock\":";
           jsonAppendUInt(Out, R.Prior.clock());
         }
